@@ -13,11 +13,17 @@ class QcrlabError(Exception):
 
 
 class QuadratureError(QcrlabError):
-    """An adaptive integral did not reach the requested tolerance."""
+    """An adaptive integral did not reach the requested tolerance.
 
-    def __init__(self, message: str, achieved: float | None = None):
+    ``achieved`` is the error estimate of the failing integral and
+    ``problem`` its index within a batched call.
+    """
+
+    def __init__(self, message: str, achieved: float | None = None,
+                 problem: int | None = None):
         super().__init__(message)
         self.achieved = achieved
+        self.problem = problem
 
 
 class TruncationError(QcrlabError):

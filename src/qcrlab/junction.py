@@ -10,16 +10,19 @@ Units and conventions
   electromagnetic environment and the bias source.  It carries the 1/h
   normalisation but no junction-resistance or coupling prefactor, so
   every coupling formula in :mod:`qcrlab.spectrum` scales it explicitly.
+  It is vectorised over energies, integrating all distinct ``|E|`` in
+  one batched quadrature, and obtains ``E < 0`` from detailed balance,
+  F(-E) = exp(-E/kT) F(E).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
+from .errors import QuadratureError
 from .quadrature import adaptive_quad
 from .units import K_B, PLANCK
 
@@ -112,24 +115,38 @@ def fermi(e, t: float):
     return out
 
 
-def _rate_at_zero_temperature(e_gain: float, p: JunctionParams,
-                              epsrel: float) -> float:
-    # occupation factors collapse to a window (0, E); empty for E <= 0
-    if e_gain <= 0.0:
-        return 0.0
+def _rate_at_zero_temperature(e: np.ndarray, p: JunctionParams,
+                              epsrel: float) -> np.ndarray:
+    # occupation factors collapse to a window (0, E), empty for E <= 0
     if p.dynes == 0.0:
         # the BCS integrand has the exact antiderivative sqrt(eps^2 - delta^2)
-        if e_gain <= p.delta:
-            return 0.0
-        return math.sqrt(e_gain**2 - p.delta**2) / PLANCK
-    pts = [p.delta] if p.delta < e_gain else []
-    val, _ = adaptive_quad(lambda x: dos(x, p), 0.0, e_gain,
-                           points=pts, epsrel=epsrel)
+        return np.sqrt(np.maximum(e * e - p.delta**2, 0.0)) / PLANCK
+    val, _ = adaptive_quad(lambda xk: dos(xk[0], p), 0.0, e,
+                           points=[p.delta], epsrel=epsrel)
     return val / PLANCK
 
 
-def forward_rate(e_gain: float, p: JunctionParams, *,
-                 epsrel: float = 1e-11) -> float:
+def _rate_at_temperature(e: np.ndarray, p: JunctionParams,
+                         epsrel: float) -> np.ndarray:
+    kt = K_B * p.temp_n
+    window = np.maximum(max(30.0 * kt, 10.0 * p.delta), 3.0 * e)
+    beta = 1.0 / kt
+
+    def integrand(xk):
+        x, k = xk
+        return dos(x, p) * expit(-(x - e[k]) * beta) * expit(x * beta)
+
+    # panel edges at the gap edges, the Fermi kinks, and thermal brackets
+    # around each so the first Kronrod pass already samples the structure
+    anchors = np.stack(np.broadcast_arrays(-p.delta, 0.0, e, p.delta), axis=1)
+    span = min(30.0 * kt, p.delta)
+    pts = np.concatenate([anchors - span, anchors, anchors + span], axis=1)
+    val, _ = adaptive_quad(integrand, -window, window, points=pts,
+                           epsrel=epsrel)
+    return val / PLANCK
+
+
+def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     """Normalised tunnelling rate F(E) for energy gain ``e_gain`` (1/s).
 
     F(E) = (1/h) * integral deps dos(eps) f(eps-E) [1 - f(eps)] with the
@@ -137,29 +154,37 @@ def forward_rate(e_gain: float, p: JunctionParams, *,
     superconductor side is assumed fully gapped in occupation (its
     quasiparticle distribution enters only through ``dos``).
 
-    Satisfies detailed balance F(-E) = exp(-E/kT) F(E) and, for zero
-    temperature and zero smearing, the closed form
-    ``sqrt(E^2 - delta^2)/h`` above the gap and zero below it.
+    Vectorised: an array of energies gives an array of rates (a float
+    gives a float), and each distinct ``|E|`` is integrated once, in one
+    batched quadrature.  Negative energies come from detailed balance,
+    F(-E) = exp(-E/kT) F(E), which is exact for this integrand and
+    spares integrating exponentially small occupations.  For zero
+    temperature and zero smearing the closed form ``sqrt(E^2 - delta^2)/h``
+    above the gap and zero below it is used.
+
+    Raises
+    ------
+    QuadratureError
+        When the integral at some energy does not converge; the message
+        names that energy.
     """
-    e_gain = float(e_gain)
+    e = np.asarray(e_gain, dtype=float)
     if p.temp_n == 0.0:
-        return _rate_at_zero_temperature(e_gain, p, epsrel)
-
-    kt = K_B * p.temp_n
-    window = max(30.0 * kt, 10.0 * p.delta, 3.0 * abs(e_gain))
-    beta = 1.0 / kt
-
-    def integrand(x):
-        return dos(x, p) * expit(-(x - e_gain) * beta) * expit(x * beta)
-
-    # panel edges at the gap edges, the Fermi kinks, and thermal brackets
-    # around each so the first Kronrod pass already samples the structure
-    anchors = (-p.delta, 0.0, e_gain, p.delta)
-    span = min(30.0 * kt, p.delta)
-    pts = set()
-    for s in anchors:
-        pts.update((s - span, s, s + span))
-    val, _ = adaptive_quad(integrand, -window, window,
-                           points=[x for x in pts if -window < x < window],
-                           epsrel=epsrel)
-    return val / PLANCK
+        # exp(-|E|/kT) vanishes, so F(E < 0) = F(0) = 0 needs no integral
+        integrate, direct, boltzmann = (_rate_at_zero_temperature,
+                                        np.maximum(e, 0.0), 1.0)
+    else:
+        integrate, direct = _rate_at_temperature, np.abs(e)
+        boltzmann = np.exp(np.minimum(e, 0.0) / (K_B * p.temp_n))
+    mag, inv = np.unique(direct.ravel(), return_inverse=True)
+    try:
+        rate = integrate(mag, p, epsrel)
+    except QuadratureError as exc:
+        i = int(np.argmax(inv == exc.problem))
+        raise QuadratureError(
+            f"forward rate F(E) at E = {float(e.flat[i])!r} J: {exc}",
+            achieved=exc.achieved, problem=i) from exc
+    out = rate[inv].reshape(e.shape) * boltzmann
+    if out.ndim == 0:
+        return float(out)
+    return out

@@ -113,14 +113,18 @@ def lamb_shift(s: SpectralDensity, omega_r: float, *,
                epsrel: float = 1e-11) -> LambResult:
     """Frequency pull (rad/s) of a mode at ``omega_r`` from spectrum ``s``.
 
-    The grid must cover [omega_r/50, 50*omega_r].  Beyond the tabulated
-    window the spectrum is continued linearly in frequency (Ohmic
-    asymptote), whose contribution above the grid is added in closed
-    form, making the result insensitive to the cutoff.
+    The grid must cover [omega_r/50, 50*omega_r], up to a few ulps of
+    rounding in its ends.  Beyond the tabulated window the spectrum is
+    continued linearly in frequency (Ohmic asymptote), whose
+    contribution above the grid is added in closed form, making the
+    result insensitive to the cutoff.
     """
     if not omega_r > 0:
         raise ValueError("mode frequency must be positive")
-    if s.grid[0] > omega_r / 50.0 or s.grid[-1] < 50.0 * omega_r:
+    # a grid built as geomspace(0.02*w, 50*w) can miss w/50 by an ulp
+    slack = 4.0 * np.finfo(float).eps
+    if (s.grid[0] > omega_r / 50.0 * (1.0 + slack)
+            or s.grid[-1] < 50.0 * omega_r * (1.0 - slack)):
         raise GridError("spectrum grid must span [omega_r/50, 50*omega_r]")
 
     ratio = _rate_over_omega(s)

@@ -23,7 +23,7 @@ excitation).  Since F is monotone, ``down >= up`` always holds here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -220,31 +220,48 @@ def _coupling_prefactor(mode: ModeParams, j: JunctionParams,
     return dev.junctions * math.pi * mode.alpha**2 * mode.impedance / j.r_t
 
 
-def _directed_sums(v: float, hw_p: float, shifts: dict[int, float],
-                   hw_s: float, j: JunctionParams, dev: DeviceConfig,
-                   epsrel: float) -> tuple[float, float]:
-    vj = v / dev.junctions
+def _directed_sums(v, hw_p, shifts: dict[int, float], hw_s: float,
+                   j: JunctionParams, dev: DeviceConfig, epsrel: float):
+    """Weighted sums of F over the tunnelling directions and sidebands.
+
+    Broadcasts over arrays of device bias ``v`` and photon energy
+    ``hw_p``; every energy of the call goes through one batched
+    ``forward_rate``.  Returns ``(up, down)``.
+    """
+    vj, hw_p = np.broadcast_arrays(np.asarray(v, dtype=float) / dev.junctions,
+                                   np.asarray(hw_p, dtype=float))
     en = dev.charging_energy
+    terms = [(w, tau * E_CHARGE * vj + (s * hw_s - en))
+             for s, w in shifts.items() if w != 0.0 for tau in (1.0, -1.0)]
+    if not terms:
+        return 0.0, 0.0
+    base = np.stack([b for _, b in terms])
+    rates = forward_rate(np.stack([base + hw_p, base - hw_p]), j,
+                         epsrel=epsrel)
     up = 0.0
     down = 0.0
-    for s, w in shifts.items():
-        if w == 0.0:
-            continue
-        off = s * hw_s - en
-        for tau in (1.0, -1.0):
-            base = tau * E_CHARGE * vj + off
-            down += w * forward_rate(base + hw_p, j, epsrel=epsrel)
-            up += w * forward_rate(base - hw_p, j, epsrel=epsrel)
+    for (w, _), f_down, f_up in zip(terms, rates[0], rates[1]):
+        down = down + w * f_down
+        up = up + w * f_up
     return up, down
+
+
+def _dc_rates(v, hw, mode: ModeParams, j: JunctionParams,
+              dev: DeviceConfig, epsrel: float) -> RatePair:
+    """Directed dc rates, broadcast over bias ``v`` and photon energy ``hw``.
+
+    Only ``mode``'s coupling enters; its frequency is given by ``hw``.
+    """
+    pref = _coupling_prefactor(mode, j, dev)
+    up, down = _directed_sums(v, hw, {0: 1.0}, 0.0, j, dev, epsrel)
+    return RatePair(pref * up, pref * down)
 
 
 def transition_rates(v: float, mode: ModeParams, j: JunctionParams,
                      dev: DeviceConfig, *, epsrel: float = 1e-11) -> RatePair:
     """Directed photon rates of a mode coupled to dc-biased junctions."""
-    pref = _coupling_prefactor(mode, j, dev)
-    up, down = _directed_sums(v, HBAR * mode.omega, {0: 1.0}, 0.0, j, dev,
-                              epsrel)
-    return RatePair(pref * up, pref * down)
+    r = _dc_rates(v, HBAR * mode.omega, mode, j, dev, epsrel)
+    return RatePair(float(r.up), float(r.down))
 
 
 def gamma_dc(v: float, mode: ModeParams, j: JunctionParams, dev: DeviceConfig,
@@ -274,7 +291,7 @@ def rf_transition_rates(v: float, mode_p: ModeParams, mode_s: ModeParams,
     pref = _coupling_prefactor(mode_p, j, dev)
     up, down = _directed_sums(v, HBAR * mode_p.omega, weights,
                               HBAR * mode_s.omega, j, dev, epsrel)
-    return RatePair(pref * up, pref * down)
+    return RatePair(float(pref * up), float(pref * down))
 
 
 def gamma_rf(v: float, mode_p: ModeParams, mode_s: ModeParams, d: DriveState,
@@ -340,15 +357,19 @@ def optimal_bias(mode: ModeParams, j: JunctionParams, dev: DeviceConfig, *,
     """
     span = dev.junctions * 2.0 * j.delta / E_CHARGE
 
-    def t_of_v(v: float) -> float:
-        r = transition_rates(v, mode, j, dev, epsrel=epsrel)
+    def t_eff(r: RatePair) -> float:
         try:
             return effective_temperature(r, mode.omega)
         except NonpositiveTemperatureError:
             return math.inf
 
+    def t_of_v(v: float) -> float:
+        return t_eff(transition_rates(v, mode, j, dev, epsrel=epsrel))
+
     vs = np.linspace(0.0, span, coarse)
-    ts = np.array([t_of_v(v) for v in vs])
+    scan = _dc_rates(vs, HBAR * mode.omega, mode, j, dev, epsrel)
+    ts = np.array([t_eff(RatePair(up, down))
+                   for up, down in zip(scan.up, scan.down)])
     if not np.any(np.isfinite(ts)):
         raise NonpositiveTemperatureError(
             "effective temperature undefined over the whole scan")
@@ -372,13 +393,14 @@ def on_off_ratio(mode: ModeParams, j: JunctionParams, dev: DeviceConfig, *,
     sqrt(delta / (hbar omega)) / dynes.
     """
     span = dev.junctions * j.delta / E_CHARGE
-    r0 = transition_rates(0.0, mode, j, dev, epsrel=epsrel).net
+    # the scan starts at v = 0, so its first entry is the off rate
+    nets = _dc_rates(np.linspace(0.0, span, points), HBAR * mode.omega,
+                     mode, j, dev, epsrel).net
+    r0 = float(nets[0])
     if r0 <= 0:
         raise UndefinedSteadyStateError(
             "zero-bias net rate vanishes; on/off ratio undefined")
-    best = max(transition_rates(v, mode, j, dev, epsrel=epsrel).net
-               for v in np.linspace(0.0, span, points))
-    return best / r0
+    return float(nets.max()) / r0
 
 
 def tabulate_spectrum(v: float, grid: np.ndarray, mode_template: ModeParams,
@@ -394,8 +416,5 @@ def tabulate_spectrum(v: float, grid: np.ndarray, mode_template: ModeParams,
         raise GridError("frequency grid must be strictly increasing")
     if grid[0] <= 0:
         raise GridError("frequency grid must be positive")
-    vals = np.array([
-        gamma_dc(v, replace(mode_template, omega=w), j, dev, epsrel=epsrel)
-        for w in grid
-    ])
+    vals = _dc_rates(v, HBAR * grid, mode_template, j, dev, epsrel).net
     return SpectralDensity(grid, vals)

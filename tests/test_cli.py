@@ -116,6 +116,35 @@ class TestSweepRuns:
                      "--threads", "4"]) == 0
         assert open(out1, "rb").read() == open(out4, "rb").read()
 
+    @pytest.mark.parametrize("name", ["sweep_bias.json", "lamb_shift.json"])
+    def test_reruns_and_thread_counts_write_identical_bytes(self, tmp_path,
+                                                           name):
+        cfg = load_example(name)
+        cfg.pop("out")
+        cfg["grid"] = {"start": 0.6, "stop": 1.1, "points": 5}
+        if "spectrum" in cfg:
+            cfg["spectrum"] = {"points": 301, "lo_factor": 0.02,
+                               "hi_factor": 50.0, "epsrel": 1e-6}
+        path = dump_cfg(tmp_path, cfg)
+        out = tmp_path / "out.csv"
+        meta = tmp_path / "out.csv.meta.json"
+
+        def run(threads):
+            assert main(["--config", path, "--out", str(out),
+                         "--threads", str(threads)]) == 0
+            return out.read_bytes(), meta.read_bytes()
+
+        one = run(1)
+        assert run(1) == one
+        two = run(2)
+        assert run(2) == two
+        assert two[0] == one[0]
+        # the sidecar records the thread count and nothing else differs
+        meta1, meta2 = json.loads(one[1]), json.loads(two[1])
+        assert (meta1["cli"].pop("threads"), meta2["cli"].pop("threads")) \
+            == (1, 2)
+        assert meta1 == meta2
+
     def test_thermal_csv_physics(self, tmp_path):
         cfg = load_example("thermal.json")
         cfg["grid"] = {"start": 0.02, "stop": 0.3, "points": 15}

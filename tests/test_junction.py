@@ -1,13 +1,18 @@
 """Broadened BCS density of states and the forward tunnelling rate."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit
 
-from qcrlab import DeviceConfig, JunctionParams, dos, fermi, forward_rate
+from qcrlab import (DeviceConfig, JunctionParams, adaptive_quad, dos, fermi,
+                    forward_rate, junction)
+from qcrlab.errors import QuadratureError
+from qcrlab.quadrature import _MAX_PROBLEMS
 from qcrlab.units import K_B, PLANCK, uev_to_joule
 
 DELTA = uev_to_joule(215.0)
@@ -100,6 +105,83 @@ class TestForwardRate:
         bwd = forward_rate(-e, j, epsrel=1e-9)
         assert bwd == pytest.approx(math.exp(-e / (K_B * j.temp_n)) * fwd,
                                     rel=1e-6)
+
+
+def direct_rate(e, j, epsrel):
+    """F(E) integrated from its own integrand, with no detailed balance."""
+    kt = K_B * j.temp_n
+    window = max(30.0 * kt, 10.0 * j.delta, 3.0 * abs(e))
+    span = min(30.0 * kt, j.delta)
+    pts = [s + d for s in (-j.delta, 0.0, e, j.delta)
+           for d in (-span, 0.0, span)]
+
+    def integrand(x):
+        return dos(x, j) * expit(-(x - e) / kt) * expit(x / kt)
+
+    val, _ = adaptive_quad(integrand, -window, window, points=pts,
+                           epsrel=epsrel)
+    return val / PLANCK
+
+
+class TestBatchedForwardRate:
+    @pytest.mark.parametrize("temp", [0.1, 0.0])
+    def test_batch_matches_scalar_bitwise(self, temp):
+        # shuffled, with repeats and sign flips, longer than one batch
+        j = make_j(temp=temp)
+        rng = np.random.default_rng(7)
+        e = rng.uniform(-3.0, 3.0, 2 * _MAX_PROBLEMS + 3) * DELTA
+        e = np.concatenate([e, e[:10], -e[10:20], [0.0]])
+        rng.shuffle(e)
+        batch = forward_rate(e, j)
+        np.testing.assert_array_equal(
+            batch, [forward_rate(float(x), j) for x in e])
+        np.testing.assert_array_equal(forward_rate(e.reshape(2, -1), j),
+                                      batch.reshape(2, -1))
+
+    def test_float_in_float_out(self):
+        j = make_j()
+        assert isinstance(forward_rate(0.5 * DELTA, j), float)
+        assert isinstance(forward_rate(np.float64(-0.5 * DELTA), j), float)
+        assert forward_rate(np.array([]), j).shape == (0,)
+
+    @given(st.floats(0.05, 2.5), st.floats(0.05, 0.3))
+    def test_negative_energy_matches_direct_integral(self, x, temp):
+        j = make_j(temp=temp)
+        epsrel = 1e-9
+        e = -x * DELTA
+        assert forward_rate(e, j, epsrel=epsrel) == pytest.approx(
+            direct_rate(e, j, epsrel), rel=10 * epsrel)
+
+    def test_zero_temperature_closed_form(self):
+        e = np.linspace(-3.0, 3.0, 60) * DELTA
+        closed = [math.sqrt(x * x - DELTA**2) / PLANCK if x > DELTA else 0.0
+                  for x in e]
+        sharp = JunctionParams(delta=DELTA, dynes=0.0, r_t=15e3, temp_n=0.0)
+        np.testing.assert_allclose(forward_rate(e, sharp), closed,
+                                   rtol=1e-15, atol=0.0)
+        smeared = JunctionParams(delta=DELTA, dynes=1e-9, r_t=15e3,
+                                 temp_n=0.0)
+        rates = forward_rate(e, smeared)
+        np.testing.assert_allclose(rates, closed, rtol=1e-6,
+                                   atol=1e-6 * DELTA / PLANCK)
+        assert np.all(rates[e <= 0.0] == 0.0)
+        # F(delta) does not converge at this smearing, but F(-delta) at
+        # zero temperature needs no integral
+        assert forward_rate(-DELTA, smeared) == 0.0
+
+    def test_failure_names_the_energy(self, monkeypatch):
+        # 60 panels suffice above the gap but not at 0.9 delta
+        monkeypatch.setattr(junction, "adaptive_quad",
+                            functools.partial(adaptive_quad, max_panels=60))
+        j = make_j()
+        bad = 0.9 * DELTA
+        with pytest.raises(QuadratureError) as alone:
+            forward_rate(bad, j)
+        with pytest.raises(QuadratureError) as batch:
+            forward_rate(np.array([1.5, -1.0, 0.9, 2.5]) * DELTA, j)
+        assert f"E = {bad!r} J" in str(batch.value)
+        assert batch.value.problem == 2
+        assert batch.value.achieved == alone.value.achieved
 
 
 class TestValidation:

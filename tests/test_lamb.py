@@ -8,6 +8,7 @@ import pytest
 from qcrlab import SpectralDensity, lamb_shift, pv_integral
 from qcrlab.errors import GridError
 from qcrlab.lamb import default_grid
+from qcrlab.units import ghz_to_omega
 
 WR = 2.0 * math.pi * 4.67e9
 
@@ -103,6 +104,15 @@ class TestLambShift:
             lamb_shift(SpectralDensity(grid, np.ones_like(grid)), WR)
         with pytest.raises(ValueError):
             lamb_shift(ohmic_density(1e-6), -WR)
+
+    def test_grid_span_tolerates_rounding_of_its_ends(self):
+        # at this frequency geomspace(0.02*w, ...)[0] exceeds w/50 by an ulp
+        w = ghz_to_omega(4.693151102069304)
+        grid = default_grid(w, points=301, lo_factor=0.02, hi_factor=50.0)
+        assert grid[0] > w / 50.0
+        c = 123.0 / w
+        res = lamb_shift(SpectralDensity(grid, c * grid), w)
+        assert abs(res.shift) < 1e-6 * c * w
 
     def test_error_estimate_nonnegative(self):
         res = lamb_shift(ohmic_density(1e-7, points=301), WR)

@@ -73,3 +73,41 @@ def test_panel_budget_respected():
 def test_affine_integrand_property(c0, c1):
     val, _ = adaptive_quad(lambda x: c0 + c1 * x, 0.0, 2.0)
     assert val == pytest.approx(2.0 * c0 + 2.0 * c1, rel=1e-11, abs=1e-12)
+
+
+def _scaled_gaussians(xk):
+    # problem k integrates exp(-x^2 / (k + 1))
+    x, k = xk
+    return np.exp(-x * x / (k + 1.0))
+
+
+def test_batch_matches_separate_integrals_bitwise():
+    a = np.array([0.0, -1.0, 2.0, 0.0])
+    b = np.array([5.0, 3.0, 2.0, 1e-3])
+    pts = np.array([[1.0, np.nan], [0.0, 0.5], [np.nan, np.nan], [5.0, -1.0]])
+    val, err = adaptive_quad(_scaled_gaussians, a, b, points=pts)
+    assert val.shape == err.shape == (4,)
+    assert val[2] == err[2] == 0.0
+    for k in range(4):
+        alone = adaptive_quad(lambda x, k=k: _scaled_gaussians((x, k)),
+                              a[k], b[k], points=pts[k])
+        assert (val[k], err[k]) == alone
+    assert val[0] == pytest.approx(math.sqrt(math.pi) / 2.0 * math.erf(5.0),
+                                   rel=1e-12)
+
+
+def test_batch_failure_names_its_problem():
+    # problems 0 and 2 converge at once; problem 1 runs out of panels
+    def mixed(xk):
+        x, k = xk
+        return np.where(k == 1, np.abs(np.sin(1.0 / (x + 1e-12))), x * x)
+
+    with pytest.raises(QuadratureError) as batch:
+        adaptive_quad(mixed, [1.0, 0.0, 2.0], [2.0, 1.0, 3.0],
+                      epsrel=1e-10, max_panels=64)
+    with pytest.raises(QuadratureError) as alone:
+        adaptive_quad(lambda x: np.abs(np.sin(1.0 / (x + 1e-12))), 0.0, 1.0,
+                      epsrel=1e-10, max_panels=64)
+    assert batch.value.problem == 1
+    assert "[0.0, 1.0]" in str(batch.value)
+    assert batch.value.achieved == alone.value.achieved
