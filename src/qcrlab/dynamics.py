@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln
 
 from .errors import ConvergenceError, FitError, LeakageError
@@ -28,6 +26,17 @@ from .junction import DeviceConfig, JunctionParams
 from .spectrum import ModeParams, RatePair, transition_rates
 
 RateSource = Callable[[float], RatePair]
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first call.
+
+    Only ``evolve`` needs ``scipy.integrate``, the costliest import of
+    the package, so commands that never integrate the ladder do not pay
+    for it at start-up.
+    """
+    from scipy.integrate import solve_ivp as _solve_ivp
+    return _solve_ivp(*args, **kwargs)
 
 
 @dataclass
@@ -214,6 +223,7 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
 
     ramp_interp = None
     if sched.rise_fall > 0 and sched.v_on != sched.v_off:
+        from scipy.interpolate import PchipInterpolator
         vlo = min(sched.v_off, sched.v_on)
         vhi = max(sched.v_off, sched.v_on)
         vgrid = np.linspace(vlo, vhi, ramp_samples)

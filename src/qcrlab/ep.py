@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConvergenceError
 
@@ -124,6 +123,7 @@ def ep_locus(p_template: TwoModeParams, *,
     Every returned point satisfies |lam+ - lam-| < 1e-9 g and
     eigenvector overlap > 1 - 1e-6.
     """
+    from scipy import optimize
     g = p_template.g
     k1 = p_template.kappa1
     if g <= 0:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import GridError
 from .quadrature import adaptive_quad
@@ -93,6 +92,7 @@ def pv_integral(f: Callable[[np.ndarray], np.ndarray], pole: float,
 
 def _rate_over_omega(s: SpectralDensity) -> Callable[[np.ndarray], np.ndarray]:
     """gamma(w)/w with linear-in-w extension below and above the grid."""
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(s.grid, s.values, extrapolate=False)
     lo, hi = s.grid[0], s.grid[-1]
     slope_lo = s.values[0] / lo

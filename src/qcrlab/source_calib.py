@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import FitError, GridError
 from .junction import DeviceConfig, JunctionParams
@@ -174,6 +173,7 @@ def reflection_model(omega: np.ndarray, omega_r: float, gamma_tr: float,
 def fit_reflection(trace: Sequence[tuple[float, complex]]
                    ) -> tuple[float, float, float]:
     """(omega_r, gamma_tr, gamma_int) from a complex reflection trace."""
+    from scipy import optimize
     omega = np.array([float(t[0]) for t in trace])
     gamma = np.array([complex(t[1]) for t in trace])
     if len(omega) < 7:

@@ -22,6 +22,7 @@ excitation).  Since F is monotone, ``down >= up`` always holds here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
@@ -139,29 +140,34 @@ def occupation_prob(k: int, d: DriveState) -> float:
     return math.exp(k * math.log(n / (1.0 + n)) - math.log(1.0 + n))
 
 
+def _overlap_sq(m: np.ndarray, d: int, rho: float) -> np.ndarray:
+    """|<m + d| D(rho) |m>|^2 over an integer array of lower indices ``m``.
+
+    Evaluated in the log domain so that large indices neither overflow
+    nor underflow prematurely.
+    """
+    if rho == 0.0:
+        return np.full(m.shape, 1.0 if d == 0 else 0.0)
+    x = rho * rho
+    lag = eval_genlaguerre(m, d, x)
+    with np.errstate(divide="ignore"):
+        log_m = (-x + 2.0 * d * math.log(rho)
+                 + gammaln(m + 1) - gammaln(m + d + 1)
+                 + 2.0 * np.log(np.abs(lag)))
+    return np.where(lag == 0.0, 0.0, np.exp(log_m))
+
+
 def fock_matrix_sq(k: int, l: int, rho: float) -> float:
     """Squared displaced-oscillator overlap |<l| D(rho) |k>|^2.
 
-    Evaluated in the log domain so that large indices neither overflow
-    nor underflow prematurely.  Symmetric in (k, l); reduces to the
-    identity at rho = 0; rows and columns sum to one.
+    Symmetric in (k, l); reduces to the identity at rho = 0; rows and
+    columns sum to one.
     """
     if k < 0 or l < 0:
         raise ValueError("Fock indices must be nonnegative")
     if rho < 0:
         raise ValueError("displacement must be nonnegative")
-    if rho == 0.0:
-        return 1.0 if k == l else 0.0
-    m, big = (k, l) if k <= l else (l, k)
-    d = big - m
-    x = rho * rho
-    lag = eval_genlaguerre(m, d, x)
-    if lag == 0.0:
-        return 0.0
-    log_val = (-x + 2.0 * d * math.log(rho)
-               + gammaln(m + 1) - gammaln(big + 1)
-               + 2.0 * math.log(abs(lag)))
-    return math.exp(log_val)
+    return float(_overlap_sq(np.array([min(k, l)]), abs(k - l), rho)[0])
 
 
 def _occupations(d: DriveState) -> np.ndarray:
@@ -174,6 +180,24 @@ def _occupations(d: DriveState) -> np.ndarray:
     if d.distribution == "coherent":
         return np.exp(ks * math.log(n) - n - gammaln(ks + 1))
     return np.exp(ks * math.log(n / (1.0 + n)) - math.log(1.0 + n))
+
+
+@functools.lru_cache(maxsize=8)
+def _sideband_overlaps(rho: float, fock_cut: int,
+                       l_max: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Pairs ``(s, |<k - s| D(rho) |k>|^2 for k = max(s, 0)..fock_cut)``.
+
+    One pair per ``s`` in ``-l_max..l_max``, in that order.  The overlaps
+    do not depend on the drive strength, so a drive sweep computes them
+    once; the arrays are shared between calls and threads, hence
+    read-only.
+    """
+    pairs = []
+    for s in range(-l_max, l_max + 1):
+        msq = _overlap_sq(np.arange(fock_cut + 1 - max(s, 0)), abs(s), rho)
+        msq.flags.writeable = False
+        pairs.append((s, msq))
+    return tuple(pairs)
 
 
 def _sideband_weights(d: DriveState, rho: float) -> dict[int, float]:
@@ -189,29 +213,8 @@ def _sideband_weights(d: DriveState, rho: float) -> dict[int, float]:
         raise TruncationError(
             f"fock_cut={d.fock_cut} keeps only {mass:.10f} of the drive "
             "distribution; raise the truncation")
-    ks = np.arange(d.fock_cut + 1)
-    weights: dict[int, float] = {}
-    x = rho * rho
-    for s in range(-d.l_max, d.l_max + 1):
-        ls = ks - s
-        valid = ls >= 0
-        if not np.any(valid):
-            weights[s] = 0.0
-            continue
-        if rho == 0.0:
-            weights[s] = mass if s == 0 else 0.0
-            continue
-        kk, ll = ks[valid], ls[valid]
-        m = np.minimum(kk, ll)
-        dd = abs(s)
-        lag = eval_genlaguerre(m, dd, x)
-        with np.errstate(divide="ignore"):
-            log_m = (-x + 2.0 * dd * math.log(rho)
-                     + gammaln(m + 1) - gammaln(m + dd + 1)
-                     + 2.0 * np.log(np.abs(lag)))
-        msq = np.where(lag == 0.0, 0.0, np.exp(log_m))
-        weights[s] = float(np.sum(pk[valid] * msq))
-    return weights
+    return {s: float(np.sum(pk[max(s, 0):] * msq))
+            for s, msq in _sideband_overlaps(rho, d.fock_cut, d.l_max)}
 
 
 def _coupling_prefactor(mode: ModeParams, j: JunctionParams,

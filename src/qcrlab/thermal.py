@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import ConvergenceError
 from .units import HBAR, K_B
 
@@ -71,6 +69,7 @@ def _balance(t_a: float, net: ThermalNetwork, t_b: float) -> float:
 
 def steady_state(net: ThermalNetwork, t_b: float) -> float:
     """Island-A temperature balancing photon, phonon, and constant loads."""
+    from scipy.optimize import brentq
     if t_b <= 0:
         raise ValueError("island-B temperature must be positive")
     lo = 1e-12

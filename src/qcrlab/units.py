@@ -9,10 +9,16 @@ from __future__ import annotations
 
 import math
 
-from scipy.constants import e as E_CHARGE
-from scipy.constants import h as PLANCK
-from scipy.constants import hbar as HBAR
-from scipy.constants import k as K_B
+# exact SI-2019 defining constants; bit for bit the scipy.constants values,
+# without importing that package at start-up
+#: elementary charge (C)
+E_CHARGE = 1.602176634e-19
+#: Planck constant (J s)
+PLANCK = 6.62607015e-34
+#: reduced Planck constant (J s)
+HBAR = PLANCK / (2.0 * math.pi)
+#: Boltzmann constant (J/K)
+K_B = 1.380649e-23
 
 #: resistance quantum h/e^2 (ohm)
 R_K = PLANCK / E_CHARGE**2

@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import constants as sc
 
-from qcrlab import read_table, write_table
+import qcrlab
+from qcrlab import read_table, spectrum, write_table
 from qcrlab.cli import load_and_validate, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -86,6 +90,23 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    # values the builders reject must already fail schema validation
+    @pytest.mark.parametrize("name, block, key, value", [
+        ("sweep_bias.json", "junction", "dynes", 1.0),
+        ("calibrate.json", "calibration", "delta_uev", 0.0),
+    ])
+    def test_schema_bound_matches_builder(self, tmp_path, capsys, name,
+                                          block, key, value):
+        cfg = load_example(name)
+        cfg[block][key] = value
+        out = tmp_path / "never.csv"
+        code = main(["--config", dump_cfg(tmp_path, cfg),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: invalid config at $.{block}.{key}:" in err
+        assert not out.exists()
+
 
 class TestSweepRuns:
     def test_sweep_bias_outputs_and_determinism(self, tmp_path):
@@ -116,7 +137,8 @@ class TestSweepRuns:
                      "--threads", "4"]) == 0
         assert open(out1, "rb").read() == open(out4, "rb").read()
 
-    @pytest.mark.parametrize("name", ["sweep_bias.json", "lamb_shift.json"])
+    @pytest.mark.parametrize("name", ["sweep_bias.json", "lamb_shift.json",
+                                      "rf_sweep.json"])
     def test_reruns_and_thread_counts_write_identical_bytes(self, tmp_path,
                                                            name):
         cfg = load_example(name)
@@ -130,6 +152,9 @@ class TestSweepRuns:
         meta = tmp_path / "out.csv.meta.json"
 
         def run(threads):
+            # start each run with no cached rf overlaps, so that the worker
+            # threads also share a cache they fill themselves
+            spectrum._sideband_overlaps.cache_clear()
             assert main(["--config", path, "--out", str(out),
                          "--threads", str(threads)]) == 0
             return out.read_bytes(), meta.read_bytes()
@@ -336,3 +361,24 @@ class TestLoggingEnv:
         monkeypatch.setenv("QCRLAB_LOG", "not-a-level")
         assert main(["--config", path,
                      "--out", str(tmp_path / "log2.csv")]) == 0
+
+
+class TestStartup:
+    def test_cli_import_defers_scipy_submodules(self):
+        # a fresh interpreter: this process has long imported everything
+        src = str(Path(qcrlab.__file__).resolve().parent.parent)
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import json, sys\n"
+            "import qcrlab.cli, qcrlab.dynamics\n"
+            "print(json.dumps({\n"
+            "    'loaded': [m for m in ('scipy.optimize', 'scipy.integrate',\n"
+            "                           'scipy.interpolate', 'scipy.constants')\n"
+            "               if m in sys.modules],\n"
+            "    'solve_ivp': callable(vars(qcrlab.dynamics).get('solve_ivp')),\n"
+            "}))\n")
+        res = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert json.loads(res.stdout) == {"loaded": [], "solve_ivp": True}
