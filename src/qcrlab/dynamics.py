@@ -6,15 +6,19 @@ states 0..n_cut with downward rate m*down_tot and upward rate
 instantaneous bias with an optional extra linear channel (e.g. a
 transmission line) of its own thermal occupation.
 
-The solver integrates the chain with an adaptive explicit stepper; the
-generator conserves total probability exactly, so norm drift measures
-integration error and is checked.
+The solver integrates the chain with an adaptive explicit stepper, one
+call per stretch of constant bias and, on ramps, one call per interval
+between the knots of the monotone cubic that interpolates the rates in
+bias (knot to knot), so no step straddles a jump of the rates' second
+derivative.  The generator conserves total probability exactly, so norm
+drift measures integration error and is checked.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -26,6 +30,10 @@ from .junction import DeviceConfig, JunctionParams
 from .spectrum import ModeParams, RatePair, transition_rates
 
 RateSource = Callable[[float], RatePair]
+
+# Biases sampled along a ramp: the knots of its rate interpolant, and the
+# ends of the pieces a ramp is integrated in.
+RAMP_SAMPLES = 33
 
 
 def solve_ivp(*args, **kwargs):
@@ -189,17 +197,50 @@ def _rhs_factory(n_cut: int):
     return rhs
 
 
+def _scalar_pchip(x: np.ndarray, y: np.ndarray) -> Callable[[float], tuple]:
+    """PCHIP through the columns of ``y`` at knots ``x``, for one point.
+
+    Reads the breakpoints and coefficients of scipy's
+    ``PchipInterpolator`` once and sums each cubic in ascending powers
+    of the offset from its interval's left knot, as scipy's evaluator
+    does, so the values agree with it bit for bit while a call works on
+    plain floats.  Outside ``[x[0], x[-1]]`` the end cubics extrapolate.
+    """
+    from scipy.interpolate import PchipInterpolator
+    pp = PchipInterpolator(x, y)
+    knots = pp.x.tolist()
+    last = len(knots) - 2
+    # coef[i][j]: ascending-power coefficients of column j on interval i
+    coef = pp.c[::-1].transpose(1, 2, 0).tolist()
+
+    def at(v: float) -> tuple:
+        i = min(max(bisect_right(knots, v) - 1, 0), last)
+        s = v - knots[i]
+        out = []
+        for cs in coef[i]:
+            res, z = 0.0, 1.0
+            for c in cs:
+                res += c * z
+                z *= s
+            out.append(res)
+        return tuple(out)
+
+    return at
+
+
 def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
            extra_gamma: float = 0.0, extra_occupation: float = 0.0,
            t_end: float | None = None, *, t_eval: Sequence[float] | None = None,
-           rtol: float = 1e-10, atol: float = 1e-14,
-           ramp_samples: int = 33) -> LadderTrajectory:
+           rtol: float = 1e-10, atol: float = 1e-14) -> LadderTrajectory:
     """Integrate the ladder over the pulse waveform up to ``t_end``.
 
     ``env`` maps a device bias to directed junction rates; it is sampled
-    only at the waveform levels (plus a fixed number of points along
-    ramps, bridged by monotone interpolation), so expensive rate
-    evaluations are not repeated inside the stepper.
+    only at the waveform levels and at ``RAMP_SAMPLES`` evenly spaced
+    biases along ramps, which a monotone cubic (PCHIP) bridges, so
+    expensive rate evaluations are not repeated inside the stepper.
+    Ramps are integrated knot to knot: each ramp is split at the times
+    its bias crosses a sample, where the interpolant's second derivative
+    jumps, and each piece is one stepper call.
     """
     if t_end is None:
         t_end = sched.t_end_pulse
@@ -221,33 +262,32 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
         v: _total_rates(env(v), extra_gamma, extra_occupation)
         for v in flat_levels}
 
-    ramp_interp = None
+    edges = {0.0, t_end, *sched.breakpoints()}
+    ramp = None
     if sched.rise_fall > 0 and sched.v_on != sched.v_off:
-        from scipy.interpolate import PchipInterpolator
         vlo = min(sched.v_off, sched.v_on)
         vhi = max(sched.v_off, sched.v_on)
-        vgrid = np.linspace(vlo, vhi, ramp_samples)
-        pairs = [_total_rates(env(v), extra_gamma, extra_occupation)
-                 for v in vgrid]
-        ups = np.array([p[0] for p in pairs])
-        downs = np.array([p[1] for p in pairs])
-        ramp_interp = (PchipInterpolator(vgrid, ups),
-                       PchipInterpolator(vgrid, downs))
+        vgrid = np.linspace(vlo, vhi, RAMP_SAMPLES)
+        ramp = _scalar_pchip(vgrid, np.array(
+            [_total_rates(env(v), extra_gamma, extra_occupation)
+             for v in vgrid]))
+        # the bias is linear on a ramp, so it meets the samples at evenly
+        # spaced times
+        rise_end = sched.t_start + sched.rise_fall
+        fall_start = rise_end + sched.width
+        edges.update(np.linspace(sched.t_start, rise_end, RAMP_SAMPLES).tolist())
+        edges.update(np.linspace(fall_start, sched.t_end_pulse,
+                                 RAMP_SAMPLES).tolist())
 
     def rates_at(t: float) -> tuple[float, float]:
         v = sched.voltage(t)
         hit = rate_of_v.get(v)
         if hit is not None:
             return hit
-        assert ramp_interp is not None
-        return float(ramp_interp[0](v)), float(ramp_interp[1](v))
+        assert ramp is not None
+        return ramp(v)
 
-    seg_edges = [0.0]
-    for b in sched.breakpoints():
-        if 0.0 < b < t_end:
-            seg_edges.append(b)
-    seg_edges.append(t_end)
-    seg_edges = sorted(set(seg_edges))
+    seg_edges = sorted(b for b in edges if 0.0 <= b <= t_end)
 
     times_out: list[float] = []
     probs_out: list[np.ndarray] = []
@@ -267,18 +307,16 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
             fun = lambda t, y, u=u, d=d: rhs(y, u, d)
         else:
             fun = lambda t, y: rhs(y, *rates_at(t))
+        # the end state comes from the same solve: b is sampled with the
+        # rest, or, with nothing to sample, is where the last step ends
+        ask = sub if not len(sub) or sub[-1] == b else np.append(sub, b)
         sol = solve_ivp(fun, (a, b), p, method="DOP853", rtol=rtol, atol=atol,
-                        t_eval=sub if len(sub) else None, dense_output=False)
+                        t_eval=ask if len(ask) else None)
         if not sol.success:
             raise ConvergenceError(f"ladder integration failed: {sol.message}")
-        if len(sub):
-            for k in range(len(sub)):
-                times_out.append(float(sub[k]))
-                probs_out.append(sol.y[:, k])
-            p = sol.y[:, -1] if sub[-1] == b else _final_state(fun, sol, p, a, b,
-                                                               rtol, atol)
-        else:
-            p = _final_state(fun, sol, p, a, b, rtol, atol)
+        times_out.extend(sub.tolist())
+        probs_out.extend(sol.y[:, :len(sub)].T)
+        p = sol.y[:, -1]
 
     probs = np.vstack(probs_out) if probs_out else np.empty((0, n_cut + 1))
     times = np.asarray(times_out)
@@ -292,17 +330,6 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
             f"top-level population reached {probs[:, -1].max():.2e}; "
             "raise n_cut")
     return LadderTrajectory(times, probs)
-
-
-def _final_state(fun, sol, p0, a, b, rtol, atol):
-    # re-integrate to the segment end when t_eval did not include it
-    if sol.t[-1] == b:
-        return sol.y[:, -1]
-    sol2 = solve_ivp(fun, (a, b), p0, method="DOP853", rtol=rtol, atol=atol,
-                     t_eval=[b])
-    if not sol2.success:
-        raise ConvergenceError(f"ladder integration failed: {sol2.message}")
-    return sol2.y[:, -1]
 
 
 def extract_gamma_by_pulse_sweep(widths: Sequence[float],

@@ -131,6 +131,26 @@ def _rate_at_temperature(e: np.ndarray, p: JunctionParams,
     kt = K_B * p.temp_n
     window = np.maximum(max(30.0 * kt, 10.0 * p.delta), 3.0 * e)
     beta = 1.0 / kt
+    span = min(30.0 * kt, p.delta)
+
+    if p.dynes == 0.0:
+        # the BCS dos vanishes in the gap and diverges at its edges; with
+        # eps = +-delta*cosh(theta), dos(eps) deps = delta*cosh(theta) dtheta
+        # is smooth, and both branches share one theta integral
+        def integrand(tk):
+            theta, k = tk
+            c = p.delta * np.cosh(theta)
+            return c * (expit(-(c - e[k]) * beta) * expit(c * beta)
+                        + expit((c + e[k]) * beta) * expit(-c * beta))
+
+        # panel edges where the branch eps > 0 meets the Fermi kink at E,
+        # its thermal brackets, and the thermal bracket of the gap edge
+        anchors = np.stack(np.broadcast_arrays(
+            p.delta + span, e - span, e, e + span), axis=1) / p.delta
+        pts = np.arccosh(np.where(anchors > 1.0, anchors, np.nan))
+        val, _ = adaptive_quad(integrand, 0.0, np.arccosh(window / p.delta),
+                               points=pts, epsrel=epsrel)
+        return val / PLANCK
 
     def integrand(xk):
         x, k = xk
@@ -139,7 +159,6 @@ def _rate_at_temperature(e: np.ndarray, p: JunctionParams,
     # panel edges at the gap edges, the Fermi kinks, and thermal brackets
     # around each so the first Kronrod pass already samples the structure
     anchors = np.stack(np.broadcast_arrays(-p.delta, 0.0, e, p.delta), axis=1)
-    span = min(30.0 * kt, p.delta)
     pts = np.concatenate([anchors - span, anchors, anchors + span], axis=1)
     val, _ = adaptive_quad(integrand, -window, window, points=pts,
                            epsrel=epsrel)
@@ -160,7 +179,9 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     F(-E) = exp(-E/kT) F(E), which is exact for this integrand and
     spares integrating exponentially small occupations.  For zero
     temperature and zero smearing the closed form ``sqrt(E^2 - delta^2)/h``
-    above the gap and zero below it is used.
+    above the gap and zero below it is used; at finite temperature zero
+    smearing is integrated in ``theta``, with ``eps = +-delta*cosh(theta)``,
+    which removes the gap-edge divergence of ``dos``.
 
     Raises
     ------

@@ -128,6 +128,17 @@ class TestSweepRuns:
         assert meta["config"]["epsrel"] == 1e-9
         assert "bias_scale_v" in meta
 
+    def test_sweep_bias_without_smearing(self, tmp_path):
+        # dynes = 0 is schema-valid; at finite temperature the gap-edge
+        # divergence of the density of states must still integrate
+        cfg = json.loads(Path(fast_sweep_cfg(tmp_path)).read_text())
+        cfg["junction"]["dynes"] = 0.0
+        out = str(tmp_path / "sharp.csv")
+        assert main(["--config", dump_cfg(tmp_path, cfg, "sharp.json"),
+                     "--out", out]) == 0
+        rates = read_table(out).column("gamma_down")
+        assert np.all(np.isfinite(rates)) and rates.min() > 0.0
+
     def test_thread_pool_output_identical(self, tmp_path):
         path = fast_sweep_cfg(tmp_path)
         out1 = str(tmp_path / "t1.csv")

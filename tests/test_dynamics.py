@@ -1,14 +1,22 @@
 """Fock-ladder master equation, pulse schedules, and rate extraction."""
 
+import json
 import math
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
-from qcrlab import (LadderState, PulseSchedule, RatePair, evolve,
+from qcrlab import (DeviceConfig, JunctionParams, LadderState, ModeParams,
+                    PulseSchedule, RatePair, dynamics, evolve,
                     extract_gamma_by_pulse_sweep, reset_infidelity)
 from qcrlab.errors import FitError, LeakageError
+from qcrlab.units import E_CHARGE, ghz_to_omega, uev_to_joule
 
 
 def const_env(up: float, down: float):
@@ -22,6 +30,33 @@ def switch_env(up_on, down_on, up_off=0.0, down_off=1e4, v_on=1.0):
         return RatePair(up=up_off, down=down_off)
 
     return env
+
+
+def bridging_env(v):
+    # a smooth bias-dependent environment sampled along ramps
+    return RatePair(up=1e4 * (1 + v), down=5e6 * (1.0 + 4.0 * v * v))
+
+
+def reset_sim_setup():
+    """Pulse, ladder and device junction rates of ``configs/reset_sim.json``."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "reset_sim.json"
+    cfg = json.loads(path.read_text())
+    jb, mb, pb = cfg["junction"], cfg["mode"], cfg["pulse"]
+    j = JunctionParams(delta=uev_to_joule(jb["delta_uev"]), dynes=jb["dynes"],
+                       r_t=jb["r_t_ohm"], temp_n=jb["temp_n_k"])
+    mode = ModeParams(omega=ghz_to_omega(mb["freq_ghz"]),
+                      impedance=mb["impedance_ohm"], alpha=mb["alpha"])
+    v_on = pb["amplitude"] * 2.0 * j.delta / E_CHARGE
+    sched = PulseSchedule(v_on=v_on, width=1e-9 * pb["width_ns"],
+                          rise_fall=1e-9 * pb["rise_fall_ns"],
+                          t_start=1e-9 * pb["t_start_ns"])
+    grid = cfg["grid"]
+    ts = 1e-9 * np.linspace(grid["start"], grid["stop"], grid["points"])
+    init = LadderState.coherent(cfg["ladder"]["init_mean_n"],
+                                cfg["ladder"]["n_cut"])
+    env = dynamics.DcRateSource(mode, j, DeviceConfig(junctions=2),
+                                epsrel=1e-9)
+    return init, sched, env, ts
 
 
 class TestLadderState:
@@ -130,14 +165,10 @@ class TestEvolve:
             evolve(init, sched, const_env(0.0, 1e6), t_end=1e-9)
 
     def test_ramp_bridging_runs(self):
-        # a bias-dependent environment sampled along the ramp
-        def env(v):
-            return RatePair(up=1e4 * (1 + v), down=5e6 * (1.0 + 4.0 * v * v))
-
         init = LadderState.coherent(1.0, n_cut=20)
         sched = PulseSchedule(v_on=1.0, width=20e-9, rise_fall=8e-9,
                               t_start=4e-9)
-        traj = evolve(init, sched, env, t_end=50e-9)
+        traj = evolve(init, sched, bridging_env, t_end=50e-9)
         assert traj.mean_n[-1] < init.mean_n
         np.testing.assert_allclose(traj.probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -149,6 +180,65 @@ class TestEvolve:
                    t_eval=[2e-9])
         with pytest.raises(ValueError):
             evolve(init, sched, const_env(0.0, 1e6), t_end=-1.0)
+
+
+class TestRamps:
+    @given(st.integers(0, 2**32 - 1), st.floats(-1e-3, 1e-3),
+           st.floats(1e-6, 1e-3))
+    def test_scalar_pchip_matches_scipy_bitwise(self, seed, lo, span):
+        rng = np.random.default_rng(seed)
+        x = np.linspace(lo, lo + span, dynamics.RAMP_SAMPLES)
+        # a rising rate and a rough one, as a ramp of junction rates gives
+        y = np.column_stack([np.cumsum(rng.exponential(1e6, x.size)),
+                             np.exp(rng.normal(15.0, 3.0, x.size))])
+        at = dynamics._scalar_pchip(x, y)
+        v = np.concatenate([rng.uniform(x[0], x[-1], 100), x,
+                            np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+        got = np.array([at(float(t)) for t in v])
+        want = PchipInterpolator(x, y)(v)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
+    @pytest.mark.parametrize("which", ["bridging", "device"])
+    def test_knot_to_knot_matches_tight_tolerances(self, which):
+        init, sched, env, ts = reset_sim_setup()
+        if which == "bridging":
+            sched = replace(sched, v_on=1.0)
+            env = bridging_env
+        loose = evolve(init, sched, env, t_end=ts[-1], t_eval=ts)
+        tight = evolve(init, sched, env, t_end=ts[-1], t_eval=ts,
+                       rtol=1e-13, atol=1e-16)
+        np.testing.assert_array_equal(loose.times, tight.times)
+        np.testing.assert_allclose(loose.probs, tight.probs, rtol=0,
+                                   atol=1e-9)
+
+    # a square pulse has three segments; each ramp adds RAMP_SAMPLES - 1
+    @pytest.mark.parametrize("rise_fall, segments", [
+        (0.0, 3), (8e-9, 3 + 2 * (dynamics.RAMP_SAMPLES - 1))])
+    def test_one_solve_per_segment(self, monkeypatch, rise_fall, segments):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        solve = dynamics.solve_ivp
+        monkeypatch.setattr(dynamics, "solve_ivp", counted)
+        init = LadderState.coherent(1.0, n_cut=20)
+        sched = PulseSchedule(v_on=1.0, width=20e-9, rise_fall=rise_fall,
+                              t_start=4e-9)
+        # no sample falls on a segment end
+        ts = [3e-9, 17e-9, 45e-9]
+        traj = evolve(init, sched, bridging_env, t_end=50e-9, t_eval=ts)
+        assert len(calls) == segments
+        assert [a for a, _ in calls[1:]] == [b for _, b in calls[:-1]]
+        assert traj.times.tolist() == ts
+        # each segment starts from where the last one ended: the same
+        # samples agree with a run that also samples every segment end
+        ends = sorted({*ts, *(b for _, b in calls)})
+        ref = evolve(init, sched, bridging_env, t_end=50e-9, t_eval=ends)
+        np.testing.assert_allclose(
+            traj.probs, ref.probs[np.isin(ref.times, ts)], rtol=0, atol=1e-12)
 
 
 class TestExtraction:

@@ -169,6 +169,25 @@ class TestBatchedForwardRate:
         # zero temperature needs no integral
         assert forward_rate(-DELTA, smeared) == 0.0
 
+    def test_zero_smearing_at_finite_temperature(self):
+        # dos diverges at the gap edges when dynes = 0; above the gap the
+        # rate must match a vanishing smearing
+        sharp, smeared = make_j(dynes=0.0, temp=0.3), make_j(dynes=1e-9,
+                                                              temp=0.3)
+        above = np.linspace(1.05, 4.0, 12) * DELTA
+        np.testing.assert_allclose(forward_rate(above, sharp),
+                                   forward_rate(above, smeared),
+                                   rtol=1e-7, atol=0.0)
+        # every energy converges, the gap edges and zero included, and a
+        # batch equals its scalar calls
+        e = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 12.0]) * DELTA
+        for temp in (0.01, 0.3):
+            j = make_j(dynes=0.0, temp=temp)
+            rates = forward_rate(e, j)
+            assert np.all(np.isfinite(rates)) and np.all(rates > 0.0)
+            np.testing.assert_array_equal(
+                rates, [forward_rate(float(x), j) for x in e])
+
     def test_failure_names_the_energy(self, monkeypatch):
         # 60 panels suffice above the gap but not at 0.9 delta
         monkeypatch.setattr(junction, "adaptive_quad",
