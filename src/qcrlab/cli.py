@@ -326,15 +326,10 @@ def _cmd_ep_map(cfg: dict, threads: int, rng) -> tuple:
             rows.append([phi, f, amp[i, k]])
     cols = ["phi (Phi_0)", "freq (GHz)", "s21_abs (1)"]
     meta: dict = {"kappa_ext_per_s": kext}
-    try:
-        locus = ep.ep_locus(p)
-        meta["ep_locus"] = [{"delta_per_s": d, "kappa2_per_s": k,
-                             "delta_mhz": d / (_TWO_PI * 1e6),
-                             "kappa2_mhz": k / (_TWO_PI * 1e6)}
-                            for d, k in locus]
-    except QcrlabError as exc:
-        log.warning("exceptional-point search failed: %s", exc)
-        meta["ep_locus"] = []
+    meta["ep_locus"] = [{"delta_per_s": d, "kappa2_per_s": k,
+                         "delta_mhz": d / (_TWO_PI * 1e6),
+                         "kappa2_mhz": k / (_TWO_PI * 1e6)}
+                        for d, k in ep.ep_locus(p)]
     return cols, rows, meta
 
 

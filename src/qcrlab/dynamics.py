@@ -23,11 +23,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, FitError, LeakageError
 from .junction import DeviceConfig, JunctionParams
-from .spectrum import ModeParams, RatePair, transition_rates
+from .spectrum import (ModeParams, RatePair, fock_distribution,
+                       transition_rates)
 
 RateSource = Callable[[float], RatePair]
 
@@ -72,22 +72,19 @@ class LadderState:
 
     @classmethod
     def thermal(cls, mean_n: float, n_cut: int = 30) -> "LadderState":
-        if mean_n < 0:
-            raise ValueError("mean photon number must be nonnegative")
-        m = np.arange(n_cut + 1)
-        if mean_n == 0:
-            return cls.ground(n_cut)
-        p = np.exp(m * math.log(mean_n / (1 + mean_n)) - math.log(1 + mean_n))
-        return cls(p / p.sum(), n_cut)
+        return cls._renormalised(mean_n, n_cut, "thermal")
 
     @classmethod
     def coherent(cls, mean_n: float, n_cut: int = 30) -> "LadderState":
+        return cls._renormalised(mean_n, n_cut, "coherent")
+
+    @classmethod
+    def _renormalised(cls, mean_n: float, n_cut: int,
+                      distribution: str) -> "LadderState":
+        """The distribution cut at ``n_cut`` and rescaled to unit sum."""
         if mean_n < 0:
             raise ValueError("mean photon number must be nonnegative")
-        m = np.arange(n_cut + 1)
-        if mean_n == 0:
-            return cls.ground(n_cut)
-        p = np.exp(m * math.log(mean_n) - mean_n - gammaln(m + 1))
+        p = fock_distribution(np.arange(n_cut + 1), mean_n, distribution)
         return cls(p / p.sum(), n_cut)
 
     @property

@@ -7,10 +7,8 @@ the frame of mode 1 by
              [ g,       d - i k2/2]],    d = omega2 - omega1.
 
 Eigenvalue coalescence (exceptional points) occurs where the
-discriminant (d - i(k2-k1)/2)^2 + 4 g^2 vanishes.  ``ep_locus`` locates
-such points by a two-dimensional root search followed by a last-ulp
-polish so the returned floats reproduce the coalescence essentially
-exactly in double precision.
+discriminant (d - i(k2-k1)/2)^2 + 4 g^2 vanishes, which happens exactly
+at d = 0, k2 = k1 -+ 4g; ``ep_locus`` returns those points in closed form.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-
-from .errors import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -80,89 +76,22 @@ def eigenvector_overlap(p: TwoModeParams) -> float:
     return float(abs(np.vdot(vecs[0], vecs[1])))
 
 
-def _ulp_polish(delta: float, kappa2: float, kappa1: float, g: float,
-                span: int = 40) -> tuple[float, float]:
-    """Refine a root of the discriminant to the last representable bits.
-
-    The discriminant is holomorphic with simple zeros in the variable
-    w = delta - i(kappa2 - kappa1)/2, so a few complex Newton steps reach
-    machine precision; a final scan over neighbouring floats then picks
-    the representable (delta, kappa2) minimizing |discriminant|.
-    """
-    w = complex(delta, -0.5 * (kappa2 - kappa1))
-    for _ in range(8):
-        f = w * w + 4.0 * (g * g)
-        if f == 0 or w == 0:
-            break
-        w = w - f / (2.0 * w)
-    delta = w.real
-    kappa2 = kappa1 - 2.0 * w.imag
-    deltas = [delta, 0.0] if abs(delta) < 1e-6 * max(g, 1.0) else [delta]
-    best = (abs(_discriminant(delta, kappa1, kappa2, g)), delta, kappa2)
-    for d in deltas:
-        k = kappa2
-        for _ in range(span):
-            k = math.nextafter(k, -math.inf)
-        for _ in range(2 * span + 1):
-            mag = abs(_discriminant(d, kappa1, k, g))
-            if mag < best[0]:
-                best = (mag, d, k)
-            k = math.nextafter(k, math.inf)
-    return best[1], best[2]
-
-
-def ep_locus(p_template: TwoModeParams, *,
-             delta_span: float | None = None,
-             kappa2_max: float | None = None,
-             starts: int = 5) -> list[tuple[float, float]]:
+def ep_locus(p_template: TwoModeParams) -> list[tuple[float, float]]:
     """Exceptional points (delta*, kappa2*) at fixed kappa1 and g.
 
-    Runs a 2-d root search on the real and imaginary parts of the
-    discriminant from a grid of starting points, deduplicates converged
-    roots, and polishes each to the nearest representable coalescence.
-    Every returned point satisfies |lam+ - lam-| < 1e-9 g and
-    eigenvector overlap > 1 - 1e-6.
+    The discriminant (delta - i(kappa2 - kappa1)/2)^2 + 4 g^2 vanishes
+    exactly at delta = 0, kappa2 = kappa1 - 4g and kappa1 + 4g.  Each
+    returned point has delta = 0.0 and kappa2 the double nearest one of
+    those values (4g is exact, so the sum is the only rounding); the
+    lower point is kept only when its loss rate is nonnegative.  Points
+    come in ascending kappa2.
     """
-    from scipy import optimize
     g = p_template.g
     k1 = p_template.kappa1
     if g <= 0:
         raise ValueError("coupling must be positive to host an "
                          "exceptional point")
-    if delta_span is None:
-        delta_span = 4.0 * g
-    if kappa2_max is None:
-        kappa2_max = k1 + 8.0 * g
-
-    def residual(x):
-        disc = _discriminant(x[0], k1, x[1], g)
-        return [disc.real, disc.imag]
-
-    found: list[tuple[float, float]] = []
-    for d0 in np.linspace(-delta_span, delta_span, starts):
-        for k0 in np.linspace(0.0, kappa2_max, starts + 2):
-            sol = optimize.root(residual, [d0, k0], method="hybr",
-                                options={"xtol": 1e-14})
-            if not sol.success:
-                continue
-            d, k = float(sol.x[0]), float(sol.x[1])
-            if k < 0 or k > kappa2_max or abs(d) > delta_span:
-                continue
-            if any(math.hypot(d - dd, k - kk) < 1e-6 * g
-                   for dd, kk in found):
-                continue
-            d, k = _ulp_polish(d, k, k1, g)
-            probe = replace(p_template, omega1=0.0, omega2=d, kappa2=k)
-            lam = eigenvalues(probe)
-            if abs(lam[1] - lam[0]) >= 1e-9 * g:
-                continue
-            if eigenvector_overlap(probe) <= 1.0 - 1e-6:
-                continue
-            found.append((d, k))
-    if not found:
-        raise ConvergenceError("no exceptional point in the search box")
-    found.sort(key=lambda t: (t[1], t[0]))
-    return found
+    return [(0.0, k2) for k2 in (k1 - 4.0 * g, k1 + 4.0 * g) if k2 >= 0.0]
 
 
 @dataclass(frozen=True)

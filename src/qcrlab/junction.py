@@ -67,22 +67,17 @@ class DeviceConfig:
     ``junctions=2`` describes the symmetric series (SINIS) configuration
     in which the applied bias divides equally over the two junctions and
     both contribute to the rates.  ``charging_energy`` is the single
-    electron charging cost of the normal island (J); ``alpha`` optionally
-    records the capacitive division ratio of the device and serves as a
-    default for modes that do not specify their own coupling fraction.
+    electron charging cost of the normal island (J).
     """
 
     junctions: int = 2
     charging_energy: float = 0.0
-    alpha: float | None = None
 
     def __post_init__(self):
         if self.junctions not in (1, 2):
             raise ValueError("only 1- and 2-junction devices are supported")
         if self.charging_energy < 0:
             raise ValueError("charging energy must be nonnegative")
-        if self.alpha is not None and not 0 <= self.alpha <= 1:
-            raise ValueError("capacitance fraction must lie in [0, 1]")
 
 
 def dos(eps, p: JunctionParams):

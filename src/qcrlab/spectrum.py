@@ -128,16 +128,27 @@ class OptimalBias(NamedTuple):
     t_eff: float
 
 
+def fock_distribution(ks, mean_n: float,
+                      distribution: Literal["coherent", "thermal"]):
+    """Poisson ("coherent") or geometric ("thermal") Fock probabilities.
+
+    Evaluated at the nonnegative indices ``ks`` for mean ``mean_n``, in
+    the log domain; ``mean_n = 0`` is the vacuum.
+    """
+    ks = np.asarray(ks)
+    n = mean_n
+    if n == 0.0:
+        return (ks == 0).astype(float)
+    if distribution == "coherent":
+        return np.exp(ks * math.log(n) - n - gammaln(ks + 1))
+    return np.exp(ks * math.log(n / (1.0 + n)) - math.log(1.0 + n))
+
+
 def occupation_prob(k: int, d: DriveState) -> float:
     """Probability of Fock state ``k`` under the drive statistics."""
     if k < 0:
         raise ValueError("Fock index must be nonnegative")
-    n = d.mean_n
-    if n == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if d.distribution == "coherent":
-        return math.exp(k * math.log(n) - n - gammaln(k + 1))
-    return math.exp(k * math.log(n / (1.0 + n)) - math.log(1.0 + n))
+    return float(fock_distribution(k, d.mean_n, d.distribution))
 
 
 def _overlap_sq(m: np.ndarray, d: int, rho: float) -> np.ndarray:
@@ -170,18 +181,6 @@ def fock_matrix_sq(k: int, l: int, rho: float) -> float:
     return float(_overlap_sq(np.array([min(k, l)]), abs(k - l), rho)[0])
 
 
-def _occupations(d: DriveState) -> np.ndarray:
-    ks = np.arange(d.fock_cut + 1)
-    n = d.mean_n
-    if n == 0.0:
-        out = np.zeros(d.fock_cut + 1)
-        out[0] = 1.0
-        return out
-    if d.distribution == "coherent":
-        return np.exp(ks * math.log(n) - n - gammaln(ks + 1))
-    return np.exp(ks * math.log(n / (1.0 + n)) - math.log(1.0 + n))
-
-
 @functools.lru_cache(maxsize=8)
 def _sideband_overlaps(rho: float, fock_cut: int,
                        l_max: int) -> tuple[tuple[int, np.ndarray], ...]:
@@ -207,7 +206,8 @@ def _sideband_weights(d: DriveState, rho: float) -> dict[int, float]:
     supporting mode from Fock state k to k - s (s photons absorbed by
     the tunnelling electron).  Vacuum therefore carries no s > 0 weight.
     """
-    pk = _occupations(d)
+    pk = fock_distribution(np.arange(d.fock_cut + 1), d.mean_n,
+                           d.distribution)
     mass = float(pk.sum())
     if mass < 1.0 - 1e-8:
         raise TruncationError(
@@ -267,11 +267,8 @@ def transition_rates(v: float, mode: ModeParams, j: JunctionParams,
     return RatePair(float(r.up), float(r.down))
 
 
-def gamma_dc(v: float, mode: ModeParams, j: JunctionParams, dev: DeviceConfig,
-             *, kind: Literal["net", "absorption", "emission"] = "net",
-             epsrel: float = 1e-11) -> float:
-    """Coupling rate of the mode at dc bias ``v`` (device-level volts)."""
-    r = transition_rates(v, mode, j, dev, epsrel=epsrel)
+def _select_rate(r: RatePair, kind: str) -> float:
+    """The net, absorption (down) or emission (up) rate of ``r``."""
     if kind == "net":
         return r.net
     if kind == "absorption":
@@ -279,6 +276,14 @@ def gamma_dc(v: float, mode: ModeParams, j: JunctionParams, dev: DeviceConfig,
     if kind == "emission":
         return r.up
     raise ValueError(f"unknown rate kind {kind!r}")
+
+
+def gamma_dc(v: float, mode: ModeParams, j: JunctionParams, dev: DeviceConfig,
+             *, kind: Literal["net", "absorption", "emission"] = "net",
+             epsrel: float = 1e-11) -> float:
+    """Coupling rate of the mode at dc bias ``v`` (device-level volts)."""
+    return _select_rate(transition_rates(v, mode, j, dev, epsrel=epsrel),
+                        kind)
 
 
 def rf_transition_rates(v: float, mode_p: ModeParams, mode_s: ModeParams,
@@ -302,14 +307,9 @@ def gamma_rf(v: float, mode_p: ModeParams, mode_s: ModeParams, d: DriveState,
              kind: Literal["net", "absorption", "emission"] = "net",
              epsrel: float = 1e-11) -> float:
     """Drive-assisted coupling rate of the primary mode (1/s)."""
-    r = rf_transition_rates(v, mode_p, mode_s, d, j, dev, epsrel=epsrel)
-    if kind == "net":
-        return r.net
-    if kind == "absorption":
-        return r.down
-    if kind == "emission":
-        return r.up
-    raise ValueError(f"unknown rate kind {kind!r}")
+    return _select_rate(
+        rf_transition_rates(v, mode_p, mode_s, d, j, dev, epsrel=epsrel),
+        kind)
 
 
 def steady_p1(r: RatePair) -> float:

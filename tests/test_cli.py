@@ -269,20 +269,24 @@ class TestSweepRuns:
         cfg = load_example("ep_map.json")
         cfg["flux"] = {"start": 0.0, "stop": 0.49, "points": 5}
         cfg["probe"] = {"f_start_ghz": 5.18, "f_stop_ghz": 5.27, "points": 9}
-        out = str(tmp_path / "ep.csv")
-        assert main(["--config", dump_cfg(tmp_path, cfg),
-                     "--out", out]) == 0
-        meta = json.loads(open(out + ".meta.json").read())
-        locus = meta["ep_locus"]
-        assert len(locus) == 1
-        k1 = cfg["two_mode"]["kappa1_mhz"]
         g = cfg["two_mode"]["g_mhz"]
-        assert locus[0]["kappa2_mhz"] == pytest.approx(k1 + 4 * g, rel=1e-9)
-        assert abs(locus[0]["delta_mhz"]) < 1e-9
-        t = read_table(out)
-        s21 = t.column("s21_abs")
-        assert np.all(np.isfinite(s21))
-        assert s21.min() >= 0.0
+        # the shipped kappa1 (0.8 MHz), and 16 MHz at g = 8 MHz, whose
+        # exceptional point at 48 MHz a numeric search once dropped
+        for k1 in (cfg["two_mode"]["kappa1_mhz"], 16.0):
+            cfg["two_mode"]["kappa1_mhz"] = k1
+            out = str(tmp_path / f"ep_{k1}.csv")
+            assert main(["--config", dump_cfg(tmp_path, cfg),
+                         "--out", out]) == 0
+            meta = json.loads(open(out + ".meta.json").read())
+            locus = meta["ep_locus"]
+            assert len(locus) == 1
+            assert locus[0]["kappa2_mhz"] == pytest.approx(k1 + 4 * g,
+                                                           rel=1e-9)
+            assert abs(locus[0]["delta_mhz"]) < 1e-9
+            t = read_table(out)
+            s21 = t.column("s21_abs")
+            assert np.all(np.isfinite(s21))
+            assert s21.min() >= 0.0
 
 
 class TestCalibrateCommand:
@@ -375,21 +379,32 @@ class TestLoggingEnv:
 
 
 class TestStartup:
-    def test_cli_import_defers_scipy_submodules(self):
+    def test_cli_import_defers_scipy_submodules(self, tmp_path):
         # a fresh interpreter: this process has long imported everything
         src = str(Path(qcrlab.__file__).resolve().parent.parent)
         path = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
+        cfg = load_example("ep_map.json")
+        cfg["flux"] = {"start": 0.0, "stop": 0.49, "points": 3}
+        cfg["probe"] = {"f_start_ghz": 5.18, "f_stop_ghz": 5.27, "points": 3}
+        ep_args = ["--config", dump_cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "ep.csv")]
         probe = (
             "import json, sys\n"
             "import qcrlab.cli, qcrlab.dynamics\n"
+            "def loaded():\n"
+            "    return [m for m in ('scipy.optimize', 'scipy.integrate',\n"
+            "                        'scipy.interpolate', 'scipy.constants')\n"
+            "            if m in sys.modules]\n"
+            "at_import = loaded()\n"
+            "code = qcrlab.cli.main(sys.argv[1:])\n"
             "print(json.dumps({\n"
-            "    'loaded': [m for m in ('scipy.optimize', 'scipy.integrate',\n"
-            "                           'scipy.interpolate', 'scipy.constants')\n"
-            "               if m in sys.modules],\n"
+            "    'loaded': at_import,\n"
             "    'solve_ivp': callable(vars(qcrlab.dynamics).get('solve_ivp')),\n"
+            "    'ep_map': [code, loaded()],\n"
             "}))\n")
-        res = subprocess.run([sys.executable, "-c", probe], check=True,
-                             capture_output=True, text=True,
+        res = subprocess.run([sys.executable, "-c", probe, *ep_args],
+                             check=True, capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path})
-        assert json.loads(res.stdout) == {"loaded": [], "solve_ivp": True}
+        assert json.loads(res.stdout) == {"loaded": [], "solve_ivp": True,
+                                          "ep_map": [0, []]}

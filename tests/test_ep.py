@@ -1,6 +1,7 @@
 """Coupled lossy modes: eigenvalue coalescence and flux maps."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 from qcrlab import (FluxMap, TwoModeParams, eigenvalues, ep_locus,
                     transmission_map)
-from qcrlab.ep import eigenvector_overlap, s21
-from qcrlab.errors import ConvergenceError
+from qcrlab.ep import _discriminant, eigenvector_overlap, s21
 
 W1 = 2.0 * math.pi * 5.223e9
 G = 2.0 * math.pi * 8e6
@@ -122,9 +122,33 @@ class TestEpLocus:
         with pytest.raises(ValueError):
             ep_locus(params(g=0.0))
 
-    def test_empty_box_raises(self):
-        with pytest.raises(ConvergenceError):
-            ep_locus(params(kappa2=G), kappa2_max=0.5 * G)
+    @pytest.mark.parametrize("k1_over_g, k2_over_g", [
+        (2.0, [6.0]), (6.0, [2.0, 10.0]), (10.0, [6.0, 14.0])])
+    def test_every_point_found(self, k1_over_g, k2_over_g):
+        # the discriminant does not cancel to 0.0 at these points, which
+        # a search filtering on eigenvalue separation rejected
+        pts = ep_locus(params(kappa1=k1_over_g * G, kappa2=G))
+        assert [d for d, _ in pts] == [0.0] * len(k2_over_g)
+        assert [k2 for _, k2 in pts] == pytest.approx(
+            [k * G for k in k2_over_g], rel=1e-15)
+
+    @given(st.floats(0.0, 20.0), st.floats(1e-3, 1e3))
+    def test_closed_form_points_coalesce(self, k1_over_g, g_mhz):
+        g = 2.0 * math.pi * 1e6 * g_mhz
+        k1 = k1_over_g * g
+        pts = ep_locus(params(kappa1=k1, g=g))
+        exact = [x for x in (Fraction(k1) - 4 * Fraction(g),
+                             Fraction(k1) + 4 * Fraction(g)) if x >= 0]
+        assert len(pts) == len(exact)
+        assert [k2 for _, k2 in pts] == sorted(k2 for _, k2 in pts)
+        for (d, k2), k2_exact in zip(pts, exact):
+            assert d == 0.0
+            # the double nearest the exact coalescence
+            assert abs(Fraction(k2) - k2_exact) <= Fraction(math.ulp(k2)) / 2
+            bound = 4.0 * g * math.ulp(max(k1, k2))
+            assert abs(_discriminant(d, k1, k2, g)) <= bound
+            p = params(delta=d, kappa1=k1, kappa2=k2, g=g)
+            assert eigenvector_overlap(p) > 1.0 - 1e-12
 
 
 class TestTransmission:

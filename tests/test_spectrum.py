@@ -123,18 +123,32 @@ class TestTransitionRates:
         assert soft_r.up == pytest.approx(2.0 * stiff_r.up, rel=1e-12)
 
     def test_gamma_dc_kinds(self, junction_50ghz, device, mode_10ghz):
+        # gamma_rf shares the selector, so it is checked here as well
         v = 1.2 * junction_50ghz.delta / E_CHARGE
-        r = transition_rates(v, mode_10ghz, junction_50ghz, device,
-                             epsrel=EPS)
-        assert gamma_dc(v, mode_10ghz, junction_50ghz, device,
-                        kind="net", epsrel=EPS) == pytest.approx(r.net)
-        assert gamma_dc(v, mode_10ghz, junction_50ghz, device,
-                        kind="absorption", epsrel=EPS) == pytest.approx(
-            r.down)
-        assert gamma_dc(v, mode_10ghz, junction_50ghz, device,
-                        kind="emission", epsrel=EPS) == pytest.approx(r.up)
-        with pytest.raises(ValueError):
-            gamma_dc(v, mode_10ghz, junction_50ghz, device, kind="sideways")
+        mode_s = ModeParams(omega=2.0 * mode_10ghz.omega, impedance=35.0,
+                            alpha=0.5)
+        d = DriveState(mean_n=1.0, l_max=2, fock_cut=12)
+
+        def dc(**kw):
+            return gamma_dc(v, mode_10ghz, junction_50ghz, device, **kw)
+
+        def rf(**kw):
+            return gamma_rf(v, mode_10ghz, mode_s, d, junction_50ghz, device,
+                            **kw)
+
+        cases = [
+            (dc, transition_rates(v, mode_10ghz, junction_50ghz, device,
+                                  epsrel=EPS)),
+            (rf, rf_transition_rates(v, mode_10ghz, mode_s, d,
+                                     junction_50ghz, device, epsrel=EPS)),
+        ]
+        for gamma, r in cases:
+            assert gamma(kind="net", epsrel=EPS) == pytest.approx(r.net)
+            assert gamma(kind="absorption", epsrel=EPS) == pytest.approx(
+                r.down)
+            assert gamma(kind="emission", epsrel=EPS) == pytest.approx(r.up)
+            with pytest.raises(ValueError):
+                gamma(kind="sideways")
 
 
 class TestSteadyState:
