@@ -4,15 +4,18 @@ Units and conventions
 ---------------------
 * energies in joules, temperatures in kelvin, rates in 1/s;
 * ``dos`` is the smeared BCS density of states normalised to the
-  normal-state value, an even function of energy;
+  normal-state value, an even function of energy, and ``cumulative_dos``
+  its closed-form antiderivative, an odd function;
 * ``forward_rate`` is the normalised rate F(E) of single-electron
   tunnelling events in which the electron *gains* energy ``E`` from the
   electromagnetic environment and the bias source.  It carries the 1/h
   normalisation but no junction-resistance or coupling prefactor, so
   every coupling formula in :mod:`qcrlab.spectrum` scales it explicitly.
-  It is vectorised over energies, integrating all distinct ``|E|`` in
-  one batched quadrature, and obtains ``E < 0`` from detailed balance,
-  F(-E) = exp(-E/kT) F(E).
+  It integrates ``cumulative_dos`` against a positive thermal kernel
+  over ``[0, max(E, delta) + 60 kT]``, all distinct ``|E|`` in one batched
+  quadrature, and obtains ``E < 0`` from detailed balance,
+  F(-E) = exp(-E/kT) F(E).  At zero temperature F(E) is
+  ``cumulative_dos(max(E, 0))/h`` with no quadrature.
 """
 
 from __future__ import annotations
@@ -110,53 +113,47 @@ def fermi(e, t: float):
     return out
 
 
-def _rate_at_zero_temperature(e: np.ndarray, p: JunctionParams,
-                              epsrel: float) -> np.ndarray:
-    # occupation factors collapse to a window (0, E), empty for E <= 0
-    if p.dynes == 0.0:
-        # the BCS integrand has the exact antiderivative sqrt(eps^2 - delta^2)
-        return np.sqrt(np.maximum(e * e - p.delta**2, 0.0)) / PLANCK
-    val, _ = adaptive_quad(lambda xk: dos(xk[0], p), 0.0, e,
-                           points=[p.delta], epsrel=epsrel)
-    return val / PLANCK
+def cumulative_dos(eps, p: JunctionParams):
+    """Antiderivative N(eps) of ``dos`` with N(0) = 0, odd in energy.
+
+    N(eps) = Re[sqrt(z - delta) sqrt(z + delta)], z = eps + i*dynes*delta,
+    with principal roots (Dynes et al., PRL 41, 1509 (1978)).  That real
+    part has the sign of ``eps``, so it is evaluated as
+    ``sign(eps) Re sqrt((z - delta)(z + delta))``: one square root, and no
+    cancellation inside the gap.  With ``dynes=0`` it is zero inside the
+    gap and ``sign(eps)*sqrt(eps^2 - delta^2)`` outside it.
+    """
+    eps = np.asarray(eps, dtype=float)
+    g = p.dynes * p.delta
+    n = np.copysign(np.sqrt((eps - p.delta) * (eps + p.delta) - g * g
+                            + 2j * g * eps).real, eps)
+    if n.ndim == 0:
+        return float(n)
+    return n
 
 
 def _rate_at_temperature(e: np.ndarray, p: JunctionParams,
                          epsrel: float) -> np.ndarray:
-    kt = K_B * p.temp_n
-    window = np.maximum(max(30.0 * kt, 10.0 * p.delta), 3.0 * e)
-    beta = 1.0 / kt
-    span = min(30.0 * kt, p.delta)
-
-    if p.dynes == 0.0:
-        # the BCS dos vanishes in the gap and diverges at its edges; with
-        # eps = +-delta*cosh(theta), dos(eps) deps = delta*cosh(theta) dtheta
-        # is smooth, and both branches share one theta integral
-        def integrand(tk):
-            theta, k = tk
-            c = p.delta * np.cosh(theta)
-            return c * (expit(-(c - e[k]) * beta) * expit(c * beta)
-                        + expit((c + e[k]) * beta) * expit(-c * beta))
-
-        # panel edges where the branch eps > 0 meets the Fermi kink at E,
-        # its thermal brackets, and the thermal bracket of the gap edge
-        anchors = np.stack(np.broadcast_arrays(
-            p.delta + span, e - span, e, e + span), axis=1) / p.delta
-        pts = np.arccosh(np.where(anchors > 1.0, anchors, np.nan))
-        val, _ = adaptive_quad(integrand, 0.0, np.arccosh(window / p.delta),
-                               points=pts, epsrel=epsrel)
-        return val / PLANCK
+    beta = 1.0 / (K_B * p.temp_n)
+    span = min(30.0 / beta, p.delta)
 
     def integrand(xk):
         x, k = xk
-        return dos(x, p) * expit(-(x - e[k]) * beta) * expit(x * beta)
+        a, b = beta * x, beta * e[k]
+        # the kernel K(eps, E) with every exponent shifted by -max(a, b),
+        # so nothing overflows and no term cancels
+        m = np.maximum(a, b)
+        ea, eb = np.exp(a - m), np.exp(b - m)
+        num = -np.expm1(-2.0 * a) * ea * (np.exp(-m) + eb)
+        den = ea + np.exp(-a - m) + eb + np.exp(-b - m)
+        return cumulative_dos(x, p) * (beta * num / (den * den))
 
-    # panel edges at the gap edges, the Fermi kinks, and thermal brackets
+    # panel edges at the gap edge and the Fermi kink, and thermal brackets
     # around each so the first Kronrod pass already samples the structure
-    anchors = np.stack(np.broadcast_arrays(-p.delta, 0.0, e, p.delta), axis=1)
+    anchors = np.stack(np.broadcast_arrays(p.delta, e), axis=1)
     pts = np.concatenate([anchors - span, anchors, anchors + span], axis=1)
-    val, _ = adaptive_quad(integrand, -window, window, points=pts,
-                           epsrel=epsrel)
+    top = np.maximum(e, p.delta) + 60.0 / beta
+    val, _ = adaptive_quad(integrand, 0.0, top, points=pts, epsrel=epsrel)
     return val / PLANCK
 
 
@@ -168,15 +165,19 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     superconductor side is assumed fully gapped in occupation (its
     quasiparticle distribution enters only through ``dos``).
 
+    Integrated by parts with the odd antiderivative N = ``cumulative_dos``,
+    F(E) = (1/h) * integral_0^(max(E, delta) + 60 kT) deps N(eps) K(eps, E),
+    K = beta sinh(a) (1 + e^b) / (2 (cosh a + cosh b)^2), a = beta eps,
+    b = beta E.  K is positive, so the integral does not cancel, and one
+    integrand serves every smearing, zero included.  At zero temperature
+    the occupations collapse to the window (0, E) and F(E) = N(max(E, 0))/h
+    in closed form.
+
     Vectorised: an array of energies gives an array of rates (a float
     gives a float), and each distinct ``|E|`` is integrated once, in one
     batched quadrature.  Negative energies come from detailed balance,
     F(-E) = exp(-E/kT) F(E), which is exact for this integrand and
-    spares integrating exponentially small occupations.  For zero
-    temperature and zero smearing the closed form ``sqrt(E^2 - delta^2)/h``
-    above the gap and zero below it is used; at finite temperature zero
-    smearing is integrated in ``theta``, with ``eps = +-delta*cosh(theta)``,
-    which removes the gap-edge divergence of ``dos``.
+    spares integrating exponentially small occupations.
 
     Raises
     ------
@@ -186,21 +187,18 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     """
     e = np.asarray(e_gain, dtype=float)
     if p.temp_n == 0.0:
-        # exp(-|E|/kT) vanishes, so F(E < 0) = F(0) = 0 needs no integral
-        integrate, direct, boltzmann = (_rate_at_zero_temperature,
-                                        np.maximum(e, 0.0), 1.0)
-    else:
-        integrate, direct = _rate_at_temperature, np.abs(e)
-        boltzmann = np.exp(np.minimum(e, 0.0) / (K_B * p.temp_n))
-    mag, inv = np.unique(direct.ravel(), return_inverse=True)
+        # the occupations collapse to the window (0, E), empty for E <= 0
+        return cumulative_dos(np.maximum(e, 0.0), p) / PLANCK
+    mag, inv = np.unique(np.abs(e).ravel(), return_inverse=True)
     try:
-        rate = integrate(mag, p, epsrel)
+        rate = _rate_at_temperature(mag, p, epsrel)
     except QuadratureError as exc:
         i = int(np.argmax(inv == exc.problem))
         raise QuadratureError(
             f"forward rate F(E) at E = {float(e.flat[i])!r} J: {exc}",
             achieved=exc.achieved, problem=i) from exc
-    out = rate[inv].reshape(e.shape) * boltzmann
+    out = (rate[inv].reshape(e.shape)
+           * np.exp(np.minimum(e, 0.0) / (K_B * p.temp_n)))
     if out.ndim == 0:
         return float(out)
     return out

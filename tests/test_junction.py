@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -40,6 +40,9 @@ class TestDos:
         j = make_j()
         eps = np.linspace(-3.0, 3.0, 41) * DELTA
         np.testing.assert_allclose(dos(eps, j), dos(-eps, j), rtol=1e-13)
+        # and its antiderivative odd, bit for bit
+        np.testing.assert_array_equal(junction.cumulative_dos(-eps, j),
+                                      -junction.cumulative_dos(eps, j))
 
     def test_bounded_below_by_broadening_floor(self):
         j = make_j(dynes=1e-4)
@@ -144,13 +147,23 @@ class TestBatchedForwardRate:
         assert isinstance(forward_rate(np.float64(-0.5 * DELTA), j), float)
         assert forward_rate(np.array([]), j).shape == (0,)
 
-    @given(st.floats(0.05, 2.5), st.floats(0.05, 0.3))
-    def test_negative_energy_matches_direct_integral(self, x, temp):
-        j = make_j(temp=temp)
+    @given(st.floats(0.05, 2.5), st.booleans(),
+           st.floats(-6.0, math.log10(0.3)),
+           st.one_of(st.just(0.0), st.floats(0.05, 0.3)))
+    def test_matches_direct_integral(self, x, negative, log_dynes, temp):
+        # either sign of E, log-uniform smearing, zero temperature included
+        j = make_j(dynes=10.0**log_dynes, temp=temp)
         epsrel = 1e-9
-        e = -x * DELTA
+        e = (-x if negative else x) * DELTA
+        if temp == 0.0:
+            # the occupation window (0, E) integrated over dos itself
+            assume(abs(x - 1.0) > 0.01)
+            ref = adaptive_quad(lambda y: dos(y, j), 0.0, max(e, 0.0),
+                                points=[DELTA], epsrel=epsrel).value / PLANCK
+        else:
+            ref = direct_rate(e, j, epsrel)
         assert forward_rate(e, j, epsrel=epsrel) == pytest.approx(
-            direct_rate(e, j, epsrel), rel=10 * epsrel)
+            ref, rel=10 * epsrel)
 
     def test_zero_temperature_closed_form(self):
         e = np.linspace(-3.0, 3.0, 60) * DELTA
@@ -165,8 +178,10 @@ class TestBatchedForwardRate:
         np.testing.assert_allclose(rates, closed, rtol=1e-6,
                                    atol=1e-6 * DELTA / PLANCK)
         assert np.all(rates[e <= 0.0] == 0.0)
-        # F(delta) does not converge at this smearing, but F(-delta) at
-        # zero temperature needs no integral
+        # at the gap edge F(delta) = delta sqrt(dynes) (1 - dynes/4)/h to
+        # leading order, which no quadrature of dos reached at this smearing
+        assert forward_rate(DELTA, smeared) == pytest.approx(
+            DELTA * math.sqrt(1e-9) / PLANCK, rel=1e-9)
         assert forward_rate(-DELTA, smeared) == 0.0
 
     def test_zero_smearing_at_finite_temperature(self):
@@ -189,15 +204,16 @@ class TestBatchedForwardRate:
                 rates, [forward_rate(float(x), j) for x in e])
 
     def test_failure_names_the_energy(self, monkeypatch):
-        # 60 panels suffice above the gap but not at 0.9 delta
+        # 36 panels suffice at and above the gap (at most 32 needed) but
+        # not at 0.8 delta (40 needed)
         monkeypatch.setattr(junction, "adaptive_quad",
-                            functools.partial(adaptive_quad, max_panels=60))
+                            functools.partial(adaptive_quad, max_panels=36))
         j = make_j()
-        bad = 0.9 * DELTA
+        bad = 0.8 * DELTA
         with pytest.raises(QuadratureError) as alone:
             forward_rate(bad, j)
         with pytest.raises(QuadratureError) as batch:
-            forward_rate(np.array([1.5, -1.0, 0.9, 2.5]) * DELTA, j)
+            forward_rate(np.array([1.5, -1.0, 0.8, 2.5]) * DELTA, j)
         assert f"E = {bad!r} J" in str(batch.value)
         assert batch.value.problem == 2
         assert batch.value.achieved == alone.value.achieved
