@@ -1,17 +1,17 @@
 """Photon-number ladder dynamics under switched junction damping.
 
 A single resonator mode is modelled as a birth--death chain on Fock
-states 0..n_cut with downward rate m*down_tot and upward rate
-(m+1)*up_tot, where the totals combine the junction rates at the
-instantaneous bias with an optional extra linear channel (e.g. a
-transmission line) of its own thermal occupation.
+states with downward rate m*down and upward rate (m+1)*up, where the
+totals combine the junction rates at the instantaneous bias with an
+optional extra linear channel (e.g. a transmission line) of its own
+thermal occupation.
 
-The solver integrates the chain with an adaptive explicit stepper, one
-call per stretch of constant bias and, on ramps, one call per interval
-between the knots of the monotone cubic that interpolates the rates in
-bias (knot to knot), so no step straddles a jump of the rates' second
-derivative.  The generator conserves total probability exactly, so norm
-drift measures integration error and is checked.
+The chain is linear, so its generating function G(s) = sum_m P_m s^m
+is a Moebius map of the initial one, G0 (Kendall, Ann. Math. Stat. 19,
+1 (1948)): G(s) = G0(1 - eta u/(1 + n u))/(1 + n u), u = 1 - s, where
+eta = exp(-int (down - up) dt) and dn/dt = up - (down - up) n, n(0) = 0.
+Two scalars thus carry the dynamics, exactly on the infinite ladder;
+only the initial state is cut at ``n_cut``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,11 +82,15 @@ class LadderState:
     @classmethod
     def _renormalised(cls, mean_n: float, n_cut: int,
                       distribution: str) -> "LadderState":
-        """The distribution cut at ``n_cut`` and rescaled to unit sum."""
+        """The distribution cut at ``n_cut``; the cut must keep 1 - 1e-6."""
         if mean_n < 0:
             raise ValueError("mean photon number must be nonnegative")
         p = fock_distribution(np.arange(n_cut + 1), mean_n, distribution)
-        return cls(p / p.sum(), n_cut)
+        kept = p.sum()
+        if kept < 1.0 - 1e-6:
+            raise LeakageError(f"n_cut = {n_cut} keeps {kept:.6g} of the "
+                               f"{distribution} state; raise n_cut")
+        return cls(p / kept, n_cut)
 
     @property
     def mean_n(self) -> float:
@@ -130,26 +135,46 @@ class PulseSchedule:
 
 @dataclass
 class LadderTrajectory:
-    """Sampled solution of the ladder master equation."""
+    """The ladder at ``times``: ``init`` mapped through ``eta`` and ``n``."""
 
     times: np.ndarray
-    probs: np.ndarray  # shape (len(times), n_cut + 1)
+    eta: np.ndarray
+    n: np.ndarray
+    init: LadderState
 
     @property
     def mean_n(self) -> np.ndarray:
-        m = np.arange(self.probs.shape[1])
-        return self.probs @ m
+        return self.eta * self.init.mean_n + self.n
 
     @property
     def ground_pop(self) -> np.ndarray:
-        return self.probs[:, 0]
+        """``G(0) = G0(1 - eta/(1 + n))/(1 + n)``."""
+        p = 1.0 / (1.0 + self.n)
+        return p * np.polynomial.polynomial.polyval(1.0 - self.eta * p,
+                                                    self.init.probs)
 
-    def state_at(self, t: float) -> LadderState:
-        """State at the sampled time closest to ``t``."""
-        if not len(self.times):
-            raise ValueError("trajectory holds no samples")
-        i = int(np.argmin(np.abs(self.times - t)))
-        return LadderState(self.probs[i], self.probs.shape[1] - 1)
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """Fock probabilities 0..n_cut at each sample, built on first access.
+
+        The power series of G from nonnegative terms: an initial photon
+        stays with chance ``eta p``, ``p = 1/(1 + n)`` (binomial thinning),
+        and ``j`` survivors become ``m`` photons with chance
+        ``p C(m, j) p^j (1 - p)^(m - j)`` (``j + 1`` geometrics of ratio
+        ``1 - p``).  A row misses only the mass above ``n_cut``.
+        """
+        from scipy.special import gammaln, xlog1py, xlogy
+        k = np.arange(self.init.n_cut + 1.0)
+        j = k[:, None]  # log C(k, j) is -inf for j > k
+        log_choose = gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1)
+
+        def kept(p):  # [j, k]: chance that j of k photons stay, each with p
+            return np.exp(log_choose + xlogy(j, p)
+                          + xlog1py(np.maximum(k - j, 0.0), -p))
+
+        rows = [p * (kept(p).T @ (kept(eta * p) @ self.init.probs))
+                for eta, p in zip(self.eta, 1.0 / (1.0 + self.n))]
+        return np.array(rows).reshape(len(self.times), len(k))
 
 
 class DcRateSource:
@@ -177,21 +202,6 @@ def _total_rates(env_rates: RatePair, extra_gamma: float,
     up = env_rates.up + extra_gamma * extra_occupation
     down = env_rates.down + extra_gamma * (1.0 + extra_occupation)
     return up, down
-
-
-def _rhs_factory(n_cut: int):
-    m = np.arange(n_cut + 1, dtype=float)
-    up_out = m + 1.0
-    up_out[-1] = 0.0  # closed top keeps the chain norm-conserving
-
-    def rhs(p: np.ndarray, up: float, down: float) -> np.ndarray:
-        dp = np.empty_like(p)
-        dp[:] = -(down * m + up * up_out) * p
-        dp[:-1] += down * m[1:] * p[1:]
-        dp[1:] += up * up_out[:-1] * p[:-1]
-        return dp
-
-    return rhs
 
 
 def _scalar_pchip(x: np.ndarray, y: np.ndarray) -> Callable[[float], tuple]:
@@ -229,15 +239,17 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
            extra_gamma: float = 0.0, extra_occupation: float = 0.0,
            t_end: float | None = None, *, t_eval: Sequence[float] | None = None,
            rtol: float = 1e-10, atol: float = 1e-14) -> LadderTrajectory:
-    """Integrate the ladder over the pulse waveform up to ``t_end``.
+    """Evolve the ladder from ``init`` over the pulse waveform to ``t_end``.
 
-    ``env`` maps a device bias to directed junction rates; it is sampled
-    only at the waveform levels and at ``RAMP_SAMPLES`` evenly spaced
-    biases along ramps, which a monotone cubic (PCHIP) bridges, so
-    expensive rate evaluations are not repeated inside the stepper.
-    Ramps are integrated knot to knot: each ramp is split at the times
-    its bias crosses a sample, where the interpolant's second derivative
-    jumps, and each piece is one stepper call.
+    Integrates ``y = (-log eta, n)`` of the Moebius map from ``(0, 0)``,
+    so the cost does not depend on ``n_cut``.  ``env`` maps a device bias
+    to directed junction rates; it is sampled only at the waveform levels
+    and at ``RAMP_SAMPLES`` evenly spaced biases along ramps, which a
+    monotone cubic (PCHIP) bridges, so expensive rate evaluations are not
+    repeated inside the stepper.  Each stretch of constant bias is one
+    stepper call.  Ramps are integrated knot to knot: each ramp is split
+    at the times its bias crosses a sample, where the interpolant's second
+    derivative jumps, and each piece is one stepper call.
     """
     if t_end is None:
         t_end = sched.t_end_pulse
@@ -247,17 +259,13 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
         raise ValueError("extra channel parameters must be nonnegative")
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, 201)
-    t_eval = np.asarray(t_eval, dtype=float)
+    t_eval = np.array(t_eval, dtype=float)
     if np.any(t_eval < 0) or np.any(t_eval > t_end) or np.any(np.diff(t_eval) < 0):
         raise ValueError("t_eval must be sorted inside [0, t_end]")
 
-    n_cut = init.n_cut
-    rhs = _rhs_factory(n_cut)
-
-    flat_levels = {sched.v_off, sched.v_on}
     rate_of_v: dict[float, tuple[float, float]] = {
         v: _total_rates(env(v), extra_gamma, extra_occupation)
-        for v in flat_levels}
+        for v in (sched.v_off, sched.v_on)}
 
     edges = {0.0, t_end, *sched.breakpoints()}
     ramp = None
@@ -275,58 +283,33 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
         edges.update(np.linspace(sched.t_start, rise_end, RAMP_SAMPLES).tolist())
         edges.update(np.linspace(fall_start, sched.t_end_pulse,
                                  RAMP_SAMPLES).tolist())
-
-    def rates_at(t: float) -> tuple[float, float]:
-        v = sched.voltage(t)
-        hit = rate_of_v.get(v)
-        if hit is not None:
-            return hit
-        assert ramp is not None
-        return ramp(v)
-
     seg_edges = sorted(b for b in edges if 0.0 <= b <= t_end)
 
-    times_out: list[float] = []
-    probs_out: list[np.ndarray] = []
-    p = init.probs.copy()
-    if t_eval[0] == 0.0:
-        times_out.append(0.0)
-        probs_out.append(p.copy())
-        t_eval = t_eval[1:]
+    def rhs(t, y, lo, hi):
+        # the bias one ulp inside the segment, so that a square pulse's
+        # segment ends read the level of the segment, not its neighbour's
+        v = sched.voltage(min(max(t, lo), hi))
+        up, down = rate_of_v.get(v) or ramp(v)
+        return [down - up, up - (down - up) * y[1]]
 
+    y = np.zeros(2)  # the identity map, which samples at t = 0 read
+    ys = [np.zeros((2, np.count_nonzero(t_eval == 0.0)))]
     for a, b in zip(seg_edges[:-1], seg_edges[1:]):
         sub = t_eval[(t_eval > a) & (t_eval <= b)]
-        constant = sched.voltage(0.5 * (a + b)) in rate_of_v and (
-            sched.voltage(float(np.nextafter(a, b)))
-            == sched.voltage(float(np.nextafter(b, a))))
-        if constant:
-            u, d = rates_at(0.5 * (a + b))
-            fun = lambda t, y, u=u, d=d: rhs(y, u, d)
-        else:
-            fun = lambda t, y: rhs(y, *rates_at(t))
         # the end state comes from the same solve: b is sampled with the
         # rest, or, with nothing to sample, is where the last step ends
         ask = sub if not len(sub) or sub[-1] == b else np.append(sub, b)
-        sol = solve_ivp(fun, (a, b), p, method="DOP853", rtol=rtol, atol=atol,
-                        t_eval=ask if len(ask) else None)
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol,
+                        atol=atol, t_eval=ask if len(ask) else None,
+                        args=(float(np.nextafter(a, b)),
+                              float(np.nextafter(b, a))))
         if not sol.success:
             raise ConvergenceError(f"ladder integration failed: {sol.message}")
-        times_out.extend(sub.tolist())
-        probs_out.extend(sol.y[:, :len(sub)].T)
-        p = sol.y[:, -1]
+        ys.append(sol.y[:, :len(sub)])
+        y = sol.y[:, -1]
 
-    probs = np.vstack(probs_out) if probs_out else np.empty((0, n_cut + 1))
-    times = np.asarray(times_out)
-
-    norm_drift = np.abs(probs.sum(axis=1) - 1.0)
-    if probs.size and norm_drift.max() > 1e-9:
-        raise ConvergenceError(
-            f"probability drifted by {norm_drift.max():.2e}; tighten tolerances")
-    if probs.size and probs[:, -1].max() > 1e-6:
-        raise LeakageError(
-            f"top-level population reached {probs[:, -1].max():.2e}; "
-            "raise n_cut")
-    return LadderTrajectory(times, probs)
+    log_eta, n = np.hstack(ys)
+    return LadderTrajectory(t_eval, np.exp(-log_eta), n, init)
 
 
 def extract_gamma_by_pulse_sweep(widths: Sequence[float],

@@ -31,7 +31,7 @@ class TruncationError(QcrlabError):
 
 
 class LeakageError(QcrlabError):
-    """Population reached the top of the simulated ladder."""
+    """A Fock-ladder cut keeps too little of an initial distribution."""
 
 
 class ConvergenceError(QcrlabError):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError, GridError
+from .errors import FitError, GridError, UndefinedSteadyStateError
 from .junction import DeviceConfig, JunctionParams
 from .spectrum import ModeParams, RatePair, transition_rates
 from .tableio import read_table
@@ -267,7 +267,7 @@ def source_sweep_point(v: float, src: PhotonSourceParams,
     rates = transition_rates(v, mode, j, dev, epsrel=epsrel)
     gamma_t = rates.down - rates.up
     if gamma_t <= 0:
-        raise ValueError("junction channel must damp the mode")
+        raise UndefinedSteadyStateError("junction channel must damp the mode")
     n_t = junction_occupation(rates)
     n_res = two_bath_occupation(gamma_tr, n_tr, gamma_t, n_t)
     power = output_power(src, n_res, n_tr)

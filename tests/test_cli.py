@@ -149,12 +149,16 @@ class TestSweepRuns:
         assert open(out1, "rb").read() == open(out4, "rb").read()
 
     @pytest.mark.parametrize("name", ["sweep_bias.json", "lamb_shift.json",
-                                      "rf_sweep.json"])
+                                      "rf_sweep.json", "reset_sim.json"])
     def test_reruns_and_thread_counts_write_identical_bytes(self, tmp_path,
                                                            name):
         cfg = load_example(name)
         cfg.pop("out")
-        cfg["grid"] = {"start": 0.6, "stop": 1.1, "points": 5}
+        if name == "reset_sim.json":
+            # a time grid in ns that crosses both ramps of the pulse
+            cfg["grid"] = {"start": 0.0, "stop": 80.0, "points": 17}
+        else:
+            cfg["grid"] = {"start": 0.6, "stop": 1.1, "points": 5}
         if "spectrum" in cfg:
             cfg["spectrum"] = {"points": 301, "lo_factor": 0.02,
                                "hi_factor": 50.0, "epsrel": 1e-6}
@@ -252,6 +256,20 @@ class TestSweepRuns:
         assert p.min() < 0 < p.max()
         dbm = t.column("power (dBm)")
         assert np.isnan(dbm[p <= 0]).all()
+
+    def test_source_without_damping_exits_3_without_output(self, tmp_path,
+                                                            capsys):
+        # a valid config whose junction rates both vanish at zero bias
+        cfg = load_example("source.json")
+        cfg["junction"].update(dynes=0.0, temp_n_k=0.0)
+        cfg["grid"] = {"start": 0.0, "stop": 1.0, "points": 3}
+        out = tmp_path / "src.csv"
+        code = main(["--config", dump_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 3
+        assert "numeric error: junction channel must damp the mode" \
+            in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
 
     def test_lamb_shift_single_bias(self, tmp_path):
         cfg = load_example("lamb_shift.json")

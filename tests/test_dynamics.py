@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg import expm
 
 from qcrlab import (DeviceConfig, JunctionParams, LadderState, ModeParams,
                     PulseSchedule, RatePair, dynamics, evolve,
@@ -74,6 +75,14 @@ class TestLadderState:
         q = 2.0 / 3.0
         assert s.probs[0] == pytest.approx(1.0 - q, rel=1e-10)
         assert s.probs[3] / s.probs[2] == pytest.approx(q, rel=1e-9)
+
+    def test_cut_must_keep_all_but_1e_6(self):
+        # a geometric of mean 1 keeps 1 - 2^-11 below n_cut = 10
+        with pytest.raises(LeakageError):
+            LadderState.thermal(1.0, n_cut=10)
+        # the state of acceptance criterion 10 loses about 1e-11
+        assert LadderState.coherent(0.8, 12).mean_n == pytest.approx(
+            0.8, rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,11 +167,64 @@ class TestEvolve:
             out.append(traj.mean_n[-1])
         assert out[0] == pytest.approx(out[1], abs=1e-8)
 
+    def test_square_pulse_segments_read_their_own_level(self):
+        # a segment's ends lie on the waveform's jumps: they must still be
+        # integrated with the rates of the segment, not of its neighbour
+        env = switch_env(2e6, 1e8, 1e3, 1e4)
+        init = LadderState.coherent(1.0, n_cut=25)
+        sched = PulseSchedule(v_on=1.0, width=10e-9, t_start=5e-9)
+        traj = evolve(init, sched, env, t_end=26e-9,
+                      t_eval=[5e-9, 15e-9, 26e-9])
+        log_eta, n, want = 0.0, 0.0, []
+        for v, dt in ((0.0, 5e-9), (1.0, 10e-9), (0.0, 11e-9)):
+            r = env(v)
+            n_ss = r.up / r.net
+            n = n_ss + (n - n_ss) * math.exp(-r.net * dt)
+            log_eta += r.net * dt
+            want.append(math.exp(-log_eta) * init.mean_n + n)
+        np.testing.assert_allclose(traj.mean_n, want, rtol=1e-12, atol=0)
+
     def test_leakage_detected(self):
-        init = LadderState.coherent(1.0, n_cut=2)
-        sched = PulseSchedule(v_on=0.0, width=1e-9)
+        # the dynamics are exact on the infinite ladder: only the initial
+        # cut can lose population, and it loses 8% here
         with pytest.raises(LeakageError):
-            evolve(init, sched, const_env(0.0, 1e6), t_end=1e-9)
+            LadderState.coherent(1.0, n_cut=2)
+
+    @given(st.floats(1e5, 1e8), st.floats(0.0, 0.5), st.floats(0.0, 1e7),
+           st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+           st.sampled_from(["coherent", "thermal"]), st.integers(40, 60),
+           st.floats(0.05, 5.0))
+    def test_matches_dense_open_chain(self, down, up_frac, extra_gamma,
+                                      extra_occ, mean, kind, n_cut, gamma_t):
+        init = getattr(LadderState, kind)(mean, n_cut)
+        up_tot = up_frac * down + extra_gamma * extra_occ
+        down_tot = down + extra_gamma * (1.0 + extra_occ)
+        t = gamma_t / (down_tot - up_tot)
+        traj = evolve(init, PulseSchedule(v_on=0.0, width=2 * t),
+                      const_env(up_frac * down, down), extra_gamma,
+                      extra_occ, t_end=t, t_eval=[0.0, t / 3, t])
+        # the chain cut 200 levels above n_cut, its top open
+        m = np.arange(n_cut + 201.0)
+        gen = (np.diag(-(m * down_tot + (m + 1) * up_tot))
+               + np.diag(m[1:] * down_tot, 1) + np.diag(m[1:] * up_tot, -1))
+        p0 = np.zeros(m.size)
+        p0[:n_cut + 1] = init.probs
+        want = np.array([expm(gen * s) @ p0 for s in traj.times])
+        np.testing.assert_allclose(traj.probs, want[:, :n_cut + 1], rtol=0,
+                                   atol=1e-9)
+        np.testing.assert_allclose(traj.mean_n, want @ m, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(traj.ground_pop, want[:, 0], rtol=0,
+                                   atol=1e-9)
+
+    def test_ground_independent_of_cut(self):
+        sched = PulseSchedule(v_on=1.0, width=20e-9, rise_fall=8e-9,
+                              t_start=4e-9)
+        small, large = (evolve(LadderState.ground(n_cut), sched, bridging_env,
+                               t_end=50e-9) for n_cut in (30, 4000))
+        for got, want in ((large.mean_n, small.mean_n),
+                          (large.ground_pop, small.ground_pop)):
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
 
     def test_ramp_bridging_runs(self):
         init = LadderState.coherent(1.0, n_cut=20)
