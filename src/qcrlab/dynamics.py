@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, FitError, LeakageError
 from .junction import DeviceConfig, JunctionParams
+from .pchip import Pchip
 from .spectrum import (ModeParams, RatePair, fock_distribution,
                        transition_rates)
 
@@ -207,14 +208,13 @@ def _total_rates(env_rates: RatePair, extra_gamma: float,
 def _scalar_pchip(x: np.ndarray, y: np.ndarray) -> Callable[[float], tuple]:
     """PCHIP through the columns of ``y`` at knots ``x``, for one point.
 
-    Reads the breakpoints and coefficients of scipy's
-    ``PchipInterpolator`` once and sums each cubic in ascending powers
-    of the offset from its interval's left knot, as scipy's evaluator
-    does, so the values agree with it bit for bit while a call works on
-    plain floats.  Outside ``[x[0], x[-1]]`` the end cubics extrapolate.
+    Reads the knots and coefficients of :class:`~qcrlab.pchip.Pchip` once
+    and sums each cubic in ascending powers of the offset from its
+    interval's left knot, as its array evaluator does, so the values agree
+    with it bit for bit while a call works on plain floats.  Outside
+    ``[x[0], x[-1]]`` the end cubics extrapolate.
     """
-    from scipy.interpolate import PchipInterpolator
-    pp = PchipInterpolator(x, y)
+    pp = Pchip(x, y)
     knots = pp.x.tolist()
     last = len(knots) - 2
     # coef[i][j]: ascending-power coefficients of column j on interval i

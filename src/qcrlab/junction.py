@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import QuadratureError
 from .quadrature import adaptive_quad
@@ -107,6 +106,7 @@ def fermi(e, t: float):
     if t == 0:
         out = np.where(e < 0, 1.0, np.where(e > 0, 0.0, 0.5))
     else:
+        from scipy.special import expit
         out = expit(-e / (K_B * t))
     if out.ndim == 0:
         return float(out)

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridError
+from .pchip import Pchip
 from .quadrature import adaptive_quad
 from .spectrum import SpectralDensity
 
@@ -91,9 +92,8 @@ def pv_integral(f: Callable[[np.ndarray], np.ndarray], pole: float,
 
 
 def _rate_over_omega(s: SpectralDensity) -> Callable[[np.ndarray], np.ndarray]:
-    """gamma(w)/w with linear-in-w extension below and above the grid."""
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(s.grid, s.values, extrapolate=False)
+    """gamma(w)/w: PCHIP of the table, continued linearly in w off the grid."""
+    interp = Pchip(s.grid, s.values)
     lo, hi = s.grid[0], s.grid[-1]
     slope_lo = s.values[0] / lo
     slope_hi = s.values[-1] / hi

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import (GridError, NonpositiveTemperatureError, TruncationError,
                      UndefinedSteadyStateError)
@@ -140,6 +139,7 @@ def fock_distribution(ks, mean_n: float,
     if n == 0.0:
         return (ks == 0).astype(float)
     if distribution == "coherent":
+        from scipy.special import gammaln
         return np.exp(ks * math.log(n) - n - gammaln(ks + 1))
     return np.exp(ks * math.log(n / (1.0 + n)) - math.log(1.0 + n))
 
@@ -159,6 +159,8 @@ def _overlap_sq(m: np.ndarray, d: int, rho: float) -> np.ndarray:
     """
     if rho == 0.0:
         return np.full(m.shape, 1.0 if d == 0 else 0.0)
+    # loaded on first use: rf-sweep is the only command that gets here
+    from scipy.special import eval_genlaguerre, gammaln
     x = rho * rho
     lag = eval_genlaguerre(m, d, x)
     with np.errstate(divide="ignore"):

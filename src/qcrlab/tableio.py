@@ -54,7 +54,12 @@ def write_table(path: str, columns: Sequence[str],
 def read_table(path: str) -> Table:
     comments: list[str] = []
     rows: list[list[float]] = []
-    with open(path, "r", newline="") as fh:
+    try:
+        fh = open(path, "r", newline="")
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read table {path!r}: {exc.strerror or exc}") from exc
+    with fh:
         for raw in fh:
             line = raw.strip()
             if not line:

@@ -345,6 +345,23 @@ class TestCalibrateCommand:
         assert payload["record"]["t_noise"] == pytest.approx(
             payload["injected"]["t_noise_k"], rel=1e-6)
 
+    @pytest.mark.parametrize("key", ["power_csv", "reflection_csv"])
+    def test_missing_input_table_exits_2_without_output(self, tmp_path,
+                                                        capsys, key):
+        cfg = load_example("calibrate.json")
+        if key == "power_csv":
+            # measured samples in place of synthesised ones
+            del cfg["synthesize"]
+            cfg["p_out_zero_w"] = 1e-12
+        cfg[key] = str(tmp_path / "absent.csv")
+        out = tmp_path / "cal.json"
+        code = main(["--config", dump_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot read table {cfg[key]!r}" in err
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
+
 
 class TestDiffCommand:
     def write_pair(self, tmp_path, shift=1.0):
@@ -376,6 +393,20 @@ class TestDiffCommand:
                      "--out", out]) == 0
         assert np.all(read_table(out).data[:, 1] == 0.0)
 
+    @pytest.mark.parametrize("key", ["csv_a", "csv_b"])
+    def test_missing_input_table_exits_2_without_output(self, tmp_path,
+                                                        capsys, key):
+        pa, pb = self.write_pair(tmp_path)
+        cfg = {"command": "diff-lamb", "csv_a": pa, "csv_b": pb,
+               key: str(tmp_path / "absent.csv")}
+        out = tmp_path / "diff.csv"
+        code = main(["--config", dump_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot read table {cfg[key]!r}" in err
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
+
     def test_mismatched_grids_exit_3(self, tmp_path, capsys):
         pa, pb = self.write_pair(tmp_path, shift=1.01)
         cfg = {"command": "diff-lamb", "csv_a": pa, "csv_b": pb}
@@ -402,27 +433,44 @@ class TestStartup:
         src = str(Path(qcrlab.__file__).resolve().parent.parent)
         path = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = {}
+
+        def add(name, cfg):
+            out = str(tmp_path / f"{name}.csv")
+            runs[name] = ["--config", dump_cfg(tmp_path, cfg, f"{name}.json"),
+                          "--out", out]
+            return out
+
+        cfg = json.loads(Path(fast_sweep_cfg(tmp_path, points=5)).read_text())
+        add("sweep-bias", cfg)
+        cfg = load_example("lamb_shift.json")
+        cfg["spectrum"] = {"points": 301, "lo_factor": 0.02,
+                           "hi_factor": 50.0, "epsrel": 1e-6}
+        cfg["grid"] = {"start": 0.9, "stop": 0.9, "points": 1}
+        lamb = add("lamb-shift", cfg)
+        add("diff-lamb", {"command": "diff-lamb", "csv_a": lamb,
+                          "csv_b": lamb})
         cfg = load_example("ep_map.json")
         cfg["flux"] = {"start": 0.0, "stop": 0.49, "points": 3}
         cfg["probe"] = {"f_start_ghz": 5.18, "f_stop_ghz": 5.27, "points": 3}
-        ep_args = ["--config", dump_cfg(tmp_path, cfg),
-                   "--out", str(tmp_path / "ep.csv")]
+        add("ep-map", cfg)
         probe = (
             "import json, sys\n"
-            "import qcrlab.cli, qcrlab.dynamics\n"
             "def loaded():\n"
-            "    return [m for m in ('scipy.optimize', 'scipy.integrate',\n"
-            "                        'scipy.interpolate', 'scipy.constants')\n"
-            "            if m in sys.modules]\n"
-            "at_import = loaded()\n"
-            "code = qcrlab.cli.main(sys.argv[1:])\n"
-            "print(json.dumps({\n"
-            "    'loaded': at_import,\n"
-            "    'solve_ivp': callable(vars(qcrlab.dynamics).get('solve_ivp')),\n"
-            "    'ep_map': [code, loaded()],\n"
-            "}))\n")
-        res = subprocess.run([sys.executable, "-c", probe, *ep_args],
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+            "import qcrlab\n"
+            "report = {'qcrlab': loaded()}\n"
+            "import qcrlab.cli, qcrlab.dynamics\n"
+            "report['qcrlab.cli'] = loaded()\n"
+            "report['solve_ivp'] = callable(\n"
+            "    vars(qcrlab.dynamics).get('solve_ivp'))\n"
+            "for name, args in json.loads(sys.argv[1]).items():\n"
+            "    report[name] = [qcrlab.cli.main(args), loaded()]\n"
+            "print(json.dumps(report))\n")
+        res = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
                              check=True, capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path})
-        assert json.loads(res.stdout) == {"loaded": [], "solve_ivp": True,
-                                          "ep_map": [0, []]}
+        assert json.loads(res.stdout) == {
+            "qcrlab": [], "qcrlab.cli": [], "solve_ivp": True,
+            **{name: [0, []] for name in runs}}
