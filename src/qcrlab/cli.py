@@ -1,9 +1,11 @@
 """Config-driven sweep runner: JSON in, deterministic CSV/JSON out.
 
 Every run takes ``--config <file.json>`` validated against the schema
-shipped with the package, computes all sweep points (optionally across
-a thread pool), and only then writes the output table plus a
-``<out>.meta.json`` sidecar holding the fully-resolved parameters.
+shipped with the package, computes all sweep points, and only then
+writes the output table plus a ``<out>.meta.json`` sidecar holding the
+fully-resolved parameters.  ``sweep-bias`` and ``source`` compute their
+bias axis in one batched rate call; ``--threads`` spreads only the
+``rf-sweep``, ``lamb-shift`` and ``thermal`` points over a thread pool.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error.
 Set ``QCRLAB_LOG`` (DEBUG/INFO/WARNING/ERROR) to control logging.
@@ -189,14 +191,12 @@ def _cmd_sweep_bias(cfg: dict, threads: int, rng) -> tuple:
     dev = _build_device(cfg["device"])
     mode = _build_mode(cfg["mode"])
     scale = _bias_scale(j)
-    eps = cfg["epsrel"]
-
-    def point(x: float) -> list[float]:
-        r = spectrum.transition_rates(x * scale, mode, j, dev, epsrel=eps)
-        return [x, r.up, r.down, _guarded_p1(r),
-                _guarded_teff(r, mode.omega)]
-
-    rows = _pmap(point, _grid_axis(cfg["grid"]), threads)
+    xs = _grid_axis(cfg["grid"])
+    r = spectrum.transition_rates(xs * scale, mode, j, dev,
+                                  epsrel=cfg["epsrel"])
+    pairs = map(spectrum.RatePair, r.up.tolist(), r.down.tolist())
+    rows = [[x, *rx, _guarded_p1(rx), _guarded_teff(rx, mode.omega)]
+            for x, rx in zip(xs, pairs)]
     cols = ["bias (eV/2Delta)", "gamma_up (1/s)", "gamma_down (1/s)",
             "p1 (1)", "t_eff (K)"]
     return cols, rows, {"bias_scale_v": scale}
@@ -345,18 +345,16 @@ def _cmd_source(cfg: dict, threads: int, rng) -> tuple:
         z0=blk["z0_ohm"],
         l_res=1e-3 * blk["l_res_mm"],
         c_per_len=1e-12 * blk["c_per_len_pf_m"])
+    xs = _grid_axis(cfg["grid"])
     scale = _bias_scale(j)
-    eps = cfg["epsrel"]
-
-    def point(x: float) -> list[float]:
-        sp = source_calib.source_sweep_point(
-            x * scale, src, mode, j, dev,
-            gamma_tr=line["gamma_tr_per_s"], n_tr=line["n_tr"], epsrel=eps)
-        dbm = 10.0 * math.log10(sp.power / 1e-3) if sp.power > 0 \
-            else math.nan
-        return [x, sp.power, dbm, sp.t_res, sp.n_res, sp.gamma_t]
-
-    rows = _pmap(point, _grid_axis(cfg["grid"]), threads)
+    sp = source_calib.source_sweep_point(
+        xs * scale, src, mode, j, dev, gamma_tr=line["gamma_tr_per_s"],
+        n_tr=line["n_tr"], epsrel=cfg["epsrel"])
+    # math.log10 one element at a time: numpy's can differ in the last bit
+    dbm = [10.0 * math.log10(p / 1e-3) if p > 0 else math.nan
+           for p in sp.power.tolist()]
+    rows = np.column_stack([xs, sp.power, dbm, sp.t_res, sp.n_res,
+                            sp.gamma_t])
     cols = ["bias (eV/2Delta)", "power (W)", "power (dBm)", "t_res (K)",
             "n_res (1)", "gamma_t (1/s)"]
     return cols, rows, {"bias_scale_v": scale}

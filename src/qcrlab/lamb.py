@@ -35,7 +35,6 @@ class LambResult:
 
 def pv_integral(f: Callable[[np.ndarray], np.ndarray], pole: float,
                 lo: float, hi: float, *, epsrel: float = 1e-11,
-                levels: int = 9,
                 points: tuple[float, ...] = ()) -> tuple[float, float]:
     """Cauchy principal value of a simple-pole integrand over [lo, hi].
 
@@ -52,8 +51,7 @@ def pv_integral(f: Callable[[np.ndarray], np.ndarray], pole: float,
     """
     if not lo < pole < hi:
         raise ValueError("pole must lie strictly inside the interval")
-    if levels < 2:
-        raise ValueError("need at least two excision levels")
+    levels = 9
     eps0 = min(1e-2 * abs(pole), 0.45 * (pole - lo), 0.45 * (hi - pole))
     if not eps0 > 0:
         raise ValueError("degenerate interval around the pole")

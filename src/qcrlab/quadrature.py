@@ -7,10 +7,10 @@ overhead per refinement step constant.  Kronrod nodes are interior, so
 integrable endpoint singularities placed on panel edges (via ``points``)
 never get evaluated directly.
 
-Convergence is driven by the *relative* error by default
-(``epsabs=0``): the integrands this package cares about are often
-exponentially small but smooth in log-magnitude, and an absolute floor
-would silently accept an unresolved result.
+Convergence is driven by the *relative* error alone: the integrands this
+package cares about are often exponentially small but smooth in
+log-magnitude, and an absolute floor would silently accept an unresolved
+result.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ def _panel_eval(f: Callable, lo: np.ndarray, hi: np.ndarray,
 def adaptive_quad(f: Callable, a, b, *,
                   points=(),
                   epsrel: float = 1e-11,
-                  epsabs: float = 0.0,
                   max_panels: int = 20000) -> QuadResult:
     """Integrate ``f`` over ``[a, b]``, bisecting panels until converged.
 
@@ -105,9 +104,8 @@ def adaptive_quad(f: Callable, a, b, *,
         sequence shared by every problem, or one row per problem.  They
         become panel edges and are never evaluated; entries outside
         ``(a, b)``, including NaN padding, are ignored.
-    epsrel, epsabs:
-        Problem ``k`` converges once
-        ``sum(err_k) <= max(epsabs, epsrel*|integral_k|)``.
+    epsrel:
+        Problem ``k`` converges once ``sum(err_k) <= epsrel*|integral_k|``.
 
     Returns
     -------
@@ -135,13 +133,13 @@ def adaptive_quad(f: Callable, a, b, *,
     for start in range(0, lo.size, _MAX_PROBLEMS):
         sl = slice(start, start + _MAX_PROBLEMS)
         value[sl], error[sl] = _refine(f, lo[sl], hi[sl], pts[sl], start,
-                                       batch, epsrel, epsabs, max_panels)
+                                       batch, epsrel, max_panels)
     if batch:
         return QuadResult(value, error)
     return QuadResult(float(value[0]), float(error[0]))
 
 
-def _refine(f, a, b, pts, start, batch, epsrel, epsabs, max_panels):
+def _refine(f, a, b, pts, start, batch, epsrel, max_panels):
     """Refinement loop over the problems ``start .. start+len(a)-1``."""
     m = a.size
     # breakpoints inside (a, b) become edges; the rest collapse onto a and
@@ -170,7 +168,7 @@ def _refine(f, a, b, pts, start, batch, epsrel, epsabs, max_panels):
         # order depends on the problem alone
         total = np.bincount(own, vals, m)
         toterr = np.bincount(own, errs, m)
-        tol = np.maximum(epsabs, epsrel * np.abs(total))
+        tol = epsrel * np.abs(total)
         done = live & ((toterr <= tol) | (toterr == 0.0))
         value[done] = total[done]
         error[done] = toterr[done]

@@ -224,20 +224,19 @@ def fit_reflection(trace: Sequence[tuple[float, complex]]
     return wr, gtr, gint
 
 
-def two_bath_occupation(gamma_a: float, n_a: float,
-                        gamma_b: float, n_b: float) -> float:
+def two_bath_occupation(gamma_a, n_a, gamma_b, n_b):
     """Steady occupation of a mode damped by two thermal channels."""
-    if gamma_a < 0 or gamma_b < 0:
+    if np.any(gamma_a < 0) or np.any(gamma_b < 0):
         raise ValueError("rates must be nonnegative")
     tot = gamma_a + gamma_b
-    if tot == 0:
+    if np.any(tot == 0):
         raise ValueError("at least one channel must couple")
     return (gamma_a * n_a + gamma_b * n_b) / tot
 
 
-def junction_occupation(rates: RatePair) -> float:
+def junction_occupation(rates: RatePair):
     """Effective photon number of the junction environment, up/(down-up)."""
-    if rates.down <= rates.up:
+    if np.any(rates.down <= rates.up):
         raise ValueError("environment occupation undefined without net "
                          "damping")
     return rates.up / (rates.down - rates.up)
@@ -245,7 +244,7 @@ def junction_occupation(rates: RatePair) -> float:
 
 @dataclass(frozen=True)
 class SourcePoint:
-    """Composed photon-source observables at one bias point."""
+    """Composed photon-source observables at one bias, or over a bias array."""
 
     bias: float
     gamma_t: float
@@ -254,7 +253,7 @@ class SourcePoint:
     t_res: float
 
 
-def source_sweep_point(v: float, src: PhotonSourceParams,
+def source_sweep_point(v, src: PhotonSourceParams,
                        mode: ModeParams, j: JunctionParams,
                        dev: DeviceConfig, *, gamma_tr: float,
                        n_tr: float, epsrel: float = 1e-11) -> SourcePoint:
@@ -263,15 +262,21 @@ def source_sweep_point(v: float, src: PhotonSourceParams,
     The mode relaxes to the two-bath steady state between the line
     (gamma_tr, n_tr) and the junction environment at the given bias; the
     emitted power follows from the resulting occupation imbalance.
+    Broadcasts over device biases ``v`` as ``transition_rates`` does.
     """
     rates = transition_rates(v, mode, j, dev, epsrel=epsrel)
     gamma_t = rates.down - rates.up
-    if gamma_t <= 0:
-        raise UndefinedSteadyStateError("junction channel must damp the mode")
+    bad = np.ravel(v)[np.ravel(gamma_t) <= 0]
+    if bad.size:
+        raise UndefinedSteadyStateError("junction channel must damp the mode "
+                                        f"at bias {float(bad[0])!r} V")
     n_t = junction_occupation(rates)
     n_res = two_bath_occupation(gamma_tr, n_tr, gamma_t, n_t)
     power = output_power(src, n_res, n_tr)
-    t_res = temp_from_occupation(n_res, src.omega0) if n_res > 0 else 0.0
+    # math.log1p one element at a time: numpy's can differ in the last bit
+    t_res = [temp_from_occupation(n, src.omega0) if n > 0 else 0.0
+             for n in np.ravel(n_res).tolist()]
+    t_res = t_res[0] if np.ndim(v) == 0 else np.reshape(t_res, np.shape(v))
     return SourcePoint(bias=v, gamma_t=gamma_t, n_res=n_res, power=power,
                        t_res=t_res)
 

@@ -219,19 +219,15 @@ def _sideband_weights(d: DriveState, rho: float) -> dict[int, float]:
             for s, msq in _sideband_overlaps(rho, d.fock_cut, d.l_max)}
 
 
-def _coupling_prefactor(mode: ModeParams, j: JunctionParams,
-                        dev: DeviceConfig) -> float:
-    # one identical term per junction of the series array
-    return dev.junctions * math.pi * mode.alpha**2 * mode.impedance / j.r_t
+def _directed_rates(v, hw_p, shifts: dict[int, float], hw_s: float,
+                    mode: ModeParams, j: JunctionParams, dev: DeviceConfig,
+                    epsrel: float) -> RatePair:
+    """Directed rates of ``mode``: its coupling times weighted sums of F.
 
-
-def _directed_sums(v, hw_p, shifts: dict[int, float], hw_s: float,
-                   j: JunctionParams, dev: DeviceConfig, epsrel: float):
-    """Weighted sums of F over the tunnelling directions and sidebands.
-
-    Broadcasts over arrays of device bias ``v`` and photon energy
-    ``hw_p``; every energy of the call goes through one batched
-    ``forward_rate``.  Returns ``(up, down)``.
+    The sums run over the tunnelling directions and the sidebands
+    ``shifts``.  Broadcasts over arrays of device bias ``v`` and photon
+    energy ``hw_p``; every energy of the call goes through one batched
+    ``forward_rate``.  A scalar result comes back as floats.
     """
     vj, hw_p = np.broadcast_arrays(np.asarray(v, dtype=float) / dev.junctions,
                                    np.asarray(hw_p, dtype=float))
@@ -239,7 +235,7 @@ def _directed_sums(v, hw_p, shifts: dict[int, float], hw_s: float,
     terms = [(w, tau * E_CHARGE * vj + (s * hw_s - en))
              for s, w in shifts.items() if w != 0.0 for tau in (1.0, -1.0)]
     if not terms:
-        return 0.0, 0.0
+        return RatePair(0.0, 0.0)
     base = np.stack([b for _, b in terms])
     rates = forward_rate(np.stack([base + hw_p, base - hw_p]), j,
                          epsrel=epsrel)
@@ -248,25 +244,22 @@ def _directed_sums(v, hw_p, shifts: dict[int, float], hw_s: float,
     for (w, _), f_down, f_up in zip(terms, rates[0], rates[1]):
         down = down + w * f_down
         up = up + w * f_up
-    return up, down
-
-
-def _dc_rates(v, hw, mode: ModeParams, j: JunctionParams,
-              dev: DeviceConfig, epsrel: float) -> RatePair:
-    """Directed dc rates, broadcast over bias ``v`` and photon energy ``hw``.
-
-    Only ``mode``'s coupling enters; its frequency is given by ``hw``.
-    """
-    pref = _coupling_prefactor(mode, j, dev)
-    up, down = _directed_sums(v, hw, {0: 1.0}, 0.0, j, dev, epsrel)
+    # one identical term per junction of the series array
+    pref = dev.junctions * math.pi * mode.alpha**2 * mode.impedance / j.r_t
+    if np.ndim(up) == 0:
+        return RatePair(float(pref * up), float(pref * down))
     return RatePair(pref * up, pref * down)
 
 
-def transition_rates(v: float, mode: ModeParams, j: JunctionParams,
+def transition_rates(v, mode: ModeParams, j: JunctionParams,
                      dev: DeviceConfig, *, epsrel: float = 1e-11) -> RatePair:
-    """Directed photon rates of a mode coupled to dc-biased junctions."""
-    r = _dc_rates(v, HBAR * mode.omega, mode, j, dev, epsrel)
-    return RatePair(float(r.up), float(r.down))
+    """Directed photon rates of a mode coupled to dc-biased junctions.
+
+    Broadcasts over device biases ``v`` (volts) in one batched ``F(E)``
+    call, each entry equal to the scalar call; a float ``v`` gives floats.
+    """
+    return _directed_rates(v, HBAR * mode.omega, {0: 1.0}, 0.0, mode, j, dev,
+                           epsrel)
 
 
 def _select_rate(r: RatePair, kind: str) -> float:
@@ -297,11 +290,9 @@ def rf_transition_rates(v: float, mode_p: ModeParams, mode_s: ModeParams,
     tunnelling event may exchange up to ``d.l_max`` supporting photons
     with matrix elements of displacement ``mode_s.rho_eff``.
     """
-    weights = _sideband_weights(d, mode_s.rho_eff)
-    pref = _coupling_prefactor(mode_p, j, dev)
-    up, down = _directed_sums(v, HBAR * mode_p.omega, weights,
-                              HBAR * mode_s.omega, j, dev, epsrel)
-    return RatePair(float(pref * up), float(pref * down))
+    return _directed_rates(v, HBAR * mode_p.omega,
+                           _sideband_weights(d, mode_s.rho_eff),
+                           HBAR * mode_s.omega, mode_p, j, dev, epsrel)
 
 
 def gamma_rf(v: float, mode_p: ModeParams, mode_s: ModeParams, d: DriveState,
@@ -353,7 +344,7 @@ def _golden_min(fun, lo: float, hi: float, xtol: float) -> float:
 
 
 def optimal_bias(mode: ModeParams, j: JunctionParams, dev: DeviceConfig, *,
-                 coarse: int = 161, epsrel: float = 1e-11) -> OptimalBias:
+                 epsrel: float = 1e-11) -> OptimalBias:
     """Bias minimising the effective mode temperature.
 
     Searches device-level voltages whose per-junction share spans
@@ -361,6 +352,7 @@ def optimal_bias(mode: ModeParams, j: JunctionParams, dev: DeviceConfig, *,
     golden-section refinement locates it.
     """
     span = dev.junctions * 2.0 * j.delta / E_CHARGE
+    coarse = 161
 
     def t_eff(r: RatePair) -> float:
         try:
@@ -372,7 +364,7 @@ def optimal_bias(mode: ModeParams, j: JunctionParams, dev: DeviceConfig, *,
         return t_eff(transition_rates(v, mode, j, dev, epsrel=epsrel))
 
     vs = np.linspace(0.0, span, coarse)
-    scan = _dc_rates(vs, HBAR * mode.omega, mode, j, dev, epsrel)
+    scan = transition_rates(vs, mode, j, dev, epsrel=epsrel)
     ts = np.array([t_eff(RatePair(up, down))
                    for up, down in zip(scan.up, scan.down)])
     if not np.any(np.isfinite(ts)):
@@ -399,8 +391,8 @@ def on_off_ratio(mode: ModeParams, j: JunctionParams, dev: DeviceConfig, *,
     """
     span = dev.junctions * j.delta / E_CHARGE
     # the scan starts at v = 0, so its first entry is the off rate
-    nets = _dc_rates(np.linspace(0.0, span, points), HBAR * mode.omega,
-                     mode, j, dev, epsrel).net
+    nets = transition_rates(np.linspace(0.0, span, points), mode, j, dev,
+                            epsrel=epsrel).net
     r0 = float(nets[0])
     if r0 <= 0:
         raise UndefinedSteadyStateError(
@@ -421,5 +413,6 @@ def tabulate_spectrum(v: float, grid: np.ndarray, mode_template: ModeParams,
         raise GridError("frequency grid must be strictly increasing")
     if grid[0] <= 0:
         raise GridError("frequency grid must be positive")
-    vals = _dc_rates(v, HBAR * grid, mode_template, j, dev, epsrel).net
+    vals = _directed_rates(v, HBAR * grid, {0: 1.0}, 0.0, mode_template, j,
+                           dev, epsrel).net
     return SpectralDensity(grid, vals)

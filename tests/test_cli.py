@@ -14,6 +14,7 @@ from scipy import constants as sc
 import qcrlab
 from qcrlab import read_table, spectrum, write_table
 from qcrlab.cli import load_and_validate, main
+from qcrlab.units import E_CHARGE, uev_to_joule
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -139,6 +140,27 @@ class TestSweepRuns:
         rates = read_table(out).column("gamma_down")
         assert np.all(np.isfinite(rates)) and rates.min() > 0.0
 
+    def test_bias_sweeps_make_one_forward_rate_call(self, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        rate = spectrum.forward_rate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rate(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "forward_rate", counted)
+        assert main(["--config", fast_sweep_cfg(tmp_path),
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(calls) == 1
+        cfg = load_example("source.json")
+        cfg["epsrel"] = 1e-9
+        cfg["grid"] = {"start": 1.0, "stop": 5.0, "points": 9}
+        calls.clear()
+        assert main(["--config", dump_cfg(tmp_path, cfg, "src.json"),
+                     "--out", str(tmp_path / "src.csv")]) == 0
+        assert len(calls) == 1
+
     def test_thread_pool_output_identical(self, tmp_path):
         path = fast_sweep_cfg(tmp_path)
         out1 = str(tmp_path / "t1.csv")
@@ -262,12 +284,16 @@ class TestSweepRuns:
         # a valid config whose junction rates both vanish at zero bias
         cfg = load_example("source.json")
         cfg["junction"].update(dynes=0.0, temp_n_k=0.0)
-        cfg["grid"] = {"start": 0.0, "stop": 1.0, "points": 3}
+        cfg["grid"] = {"start": 0.25, "stop": 1.0, "points": 3}
         out = tmp_path / "src.csv"
         code = main(["--config", dump_cfg(tmp_path, cfg), "--out", str(out)])
         assert code == 3
-        assert "numeric error: junction channel must damp the mode" \
-            in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numeric error: junction channel must damp the mode" in err
+        # biases 0.25 and 0.625 sit below the threshold; the first is named
+        v = 0.25 * (2.0 * uev_to_joule(cfg["junction"]["delta_uev"])
+                    / E_CHARGE)
+        assert f"at bias {v!r} V" in err
         assert not out.exists()
         assert not Path(str(out) + ".meta.json").exists()
 
@@ -474,3 +500,26 @@ class TestStartup:
         assert json.loads(res.stdout) == {
             "qcrlab": [], "qcrlab.cli": [], "solve_ivp": True,
             **{name: [0, []] for name in runs}}
+
+    def test_bench_trace_hooks_install(self):
+        # bench/child.py --trace wraps module attributes by name; a renamed
+        # or dropped import would make install() raise AttributeError
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import importlib.util, json, sys\n"
+            "import qcrlab, qcrlab.cli\n"
+            "spec = importlib.util.spec_from_file_location(\n"
+            "    'bench_child', sys.argv[1])\n"
+            "child = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(child)\n"
+            "child.install(child.Tracer())\n"
+            "print(json.dumps(sorted({m for m, _, _ in child.SPANS\n"
+            "                         if m not in sys.modules})))\n")
+        res = subprocess.run(
+            [sys.executable, "-c", probe, str(root / "bench" / "child.py")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == []
