@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, dynamics, ep, lamb, source_calib, spectrum
 from . import thermal as thermal_mod
 from .errors import ConfigError, GridError, QcrlabError
-from .junction import DeviceConfig, JunctionParams
+from .junction import DeviceConfig, JunctionParams, interpolant_size
 from .spectrum import DriveState, ModeParams
 from .tableio import ensure_parent_dir, read_table, write_sidecar, write_table
 from .units import E_CHARGE, K_B, ghz_to_omega, uev_to_joule
@@ -242,9 +242,14 @@ def _cmd_lamb_shift(cfg: dict, threads: int, rng) -> tuple:
 
     rows = _pmap(point, _grid_axis(cfg["grid"]), threads)
     cols = ["bias (eV/2Delta)", "lamb_shift (Hz)"]
-    return cols, rows, {"bias_scale_v": scale,
-                        "spectrum_grid_rad_s": [float(wgrid[0]),
-                                                float(wgrid[-1])]}
+    meta: dict = {"bias_scale_v": scale,
+                  "spectrum_grid_rad_s": [float(wgrid[0]), float(wgrid[-1])]}
+    # deterministic counts of the cached F(E) interpolant; in a fresh
+    # process, what this run built
+    panels, nodes = interpolant_size(j, sp["epsrel"])
+    if panels:
+        meta["f_interpolant"] = {"panels": panels, "nodes": nodes}
+    return cols, rows, meta
 
 
 def _cmd_reset_sim(cfg: dict, threads: int, rng) -> tuple:

@@ -14,13 +14,20 @@ Units and conventions
   It integrates ``cumulative_dos`` against a positive thermal kernel
   over ``[0, max(E, delta) + 60 kT]``, all distinct ``|E|`` in one batched
   quadrature, and obtains ``E < 0`` from detailed balance,
-  F(-E) = exp(-E/kT) F(E).  At zero temperature F(E) is
+  F(-E) = exp(-E/kT) F(E).  A call that asks for more distinct ``|E|``
+  than a piecewise Chebyshev interpolant of ``log F`` needs nodes is
+  served from that interpolant instead, built once per junction and
+  ``epsrel`` on the dyadic intervals ``[0, delta]``, ``[delta, 2 delta]``,
+  ``[2 delta, 4 delta]``, ... (Battles and Trefethen, SIAM J. Sci. Comput.
+  25, 1743 (2004)).  At zero temperature F(E) is
   ``cumulative_dos(max(E, 0))/h`` with no quadrature.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,6 +164,118 @@ def _rate_at_temperature(e: np.ndarray, p: JunctionParams,
     return val / PLANCK
 
 
+# Piecewise Chebyshev interpolant of log F(|E|) on first-kind points of
+# degree 24; a panel is accepted once its last three coefficients are at
+# most epsrel, which bounds the relative error of F itself.
+_CHEB_N = 25
+_CHEB_T = np.cos(np.pi * (np.arange(_CHEB_N) + 0.5) / _CHEB_N)
+# values at _CHEB_T to coefficients: c_k = (2/n) sum_j f_j T_k(t_j), c_0/2
+_CHEB_DCT = (2.0 / _CHEB_N) * np.cos(
+    np.pi * np.outer(np.arange(_CHEB_N), np.arange(_CHEB_N) + 0.5) / _CHEB_N)
+_CHEB_DCT[0] *= 0.5
+
+
+class _Base(NamedTuple):
+    """The accepted panels of one dyadic base interval, sorted by energy."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    coef: np.ndarray
+    nodes: int      # energies integrated to build it, rejected panels too
+
+
+@functools.lru_cache(maxsize=16)
+def _published_bases(p: JunctionParams, epsrel: float) -> dict:
+    """Base index -> complete ``_Base``, or None where F is not usable.
+
+    Base 0 is ``[0, delta]`` and base k > 0 is ``[2^(k-1), 2^k] delta``.
+    Every base is refined on its own, so extending the domain never
+    changes a base already built.  Threads may build a base twice; both
+    builds are identical and a base is stored whole, so no lock is needed.
+    """
+    return {}
+
+
+def _build_panels(mag: np.ndarray, p: JunctionParams,
+                  epsrel: float) -> _Base | None:
+    """Panels covering ``[0, mag[-1]]``, or None to integrate directly.
+
+    Building integrates at most ``mag.size`` energies in all, counting the
+    bases already published, so the choice depends only on the junction,
+    ``epsrel``, ``mag[-1]`` and ``mag.size``.  Also None when a node rate is
+    not finite and positive, which marks that base unusable.
+    """
+    published = _published_bases(p, epsrel)
+    edges = [0.0, p.delta]
+    while edges[-1] < mag[-1]:
+        edges.append(2.0 * edges[-1])
+    bases = [published.get(k, False) for k in range(len(edges) - 1)]
+    if any(b is None for b in bases):
+        return None
+    spent = sum(b.nodes for b in bases if b)
+    if spent > mag.size:
+        return None
+    # per base being built: accepted (lo, hi, coef) and energies integrated
+    accepted = {k: [] for k, b in enumerate(bases) if not b}
+    cost = dict.fromkeys(accepted, 0)
+    pending = [(k, edges[k], edges[k + 1]) for k in accepted]
+    while pending:
+        if spent + _CHEB_N * len(pending) > mag.size:
+            return None
+        ks, lo, hi = (np.array(v) for v in zip(*pending))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = mid[:, None] + half[:, None] * _CHEB_T
+        # an error at one node spreads over its whole panel, and the
+        # quadrature's own estimate can be a few times optimistic
+        rates = _rate_at_temperature(nodes.ravel(), p, epsrel / 10).reshape(
+            nodes.shape)
+        spent += rates.size
+        usable = (np.isfinite(rates) & (rates > 0.0)).all(axis=1)
+        if not usable.all():
+            published[int(ks[~usable][0])] = None
+            return None
+        # row sums, not a matrix product, so a panel's coefficients do not
+        # depend on which other panels share the round
+        coef = (np.log(rates)[:, None, :] * _CHEB_DCT).sum(axis=2)
+        done = (np.abs(coef[:, -3:]) <= epsrel).all(axis=1)
+        pending = []
+        for k, a, m, b, c, ok in zip(ks.tolist(), lo, mid, hi, coef, done):
+            cost[k] += _CHEB_N
+            if ok:
+                accepted[k].append((a, b, c))
+            else:
+                pending += [(k, a, m), (k, m, b)]
+        for k in set(accepted) - {k for k, _, _ in pending}:
+            lo_k, hi_k, coef_k = zip(*sorted(accepted.pop(k),
+                                             key=lambda t: t[0]))
+            bases[k] = published[k] = _Base(np.array(lo_k), np.array(hi_k),
+                                             np.array(coef_k), cost[k])
+    return _Base(*(np.concatenate([getattr(b, f) for b in bases])
+                   for f in ("lo", "hi", "coef")), spent)
+
+
+def _clenshaw(panels: _Base, x: np.ndarray) -> np.ndarray:
+    """Evaluate the interpolant of log F at the sorted energies ``x``."""
+    i = np.searchsorted(panels.hi, x)
+    lo, hi, c = panels.lo[i], panels.hi[i], panels.coef[i]
+    t2 = 2.0 * (2.0 * x - (lo + hi)) / (hi - lo)
+    b1 = np.zeros(x.shape)
+    b2 = np.zeros(x.shape)
+    for k in range(_CHEB_N - 1, 0, -1):
+        b1, b2 = c[:, k] + t2 * b1 - b2, b1
+    return c[:, 0] + 0.5 * t2 * b1 - b2
+
+
+def interpolant_size(p: JunctionParams, epsrel: float) -> tuple[int, int]:
+    """Panels and integrated energies of the F(E) interpolant cached so far.
+
+    Counts every base published for ``(p, epsrel)`` in this process;
+    ``(0, 0)`` when no call has built one.
+    """
+    bases = [b for b in _published_bases(p, epsrel).values() if b is not None]
+    return (sum(b.lo.size for b in bases), sum(b.nodes for b in bases))
+
+
 def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     """Normalised tunnelling rate F(E) for energy gain ``e_gain`` (1/s).
 
@@ -179,6 +298,16 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     F(-E) = exp(-E/kT) F(E), which is exact for this integrand and
     spares integrating exponentially small occupations.
 
+    When building a piecewise Chebyshev interpolant of ``log F`` over
+    ``[0, max|E|]`` integrates no more energies than the call has distinct
+    ``|E|``, the call is served from it: each panel carries degree 24, its
+    nodes are integrated at ``epsrel/10``, and it is bisected until its
+    last three coefficients are at most ``epsrel``, so the interpolant
+    agrees with the integral to about ``epsrel`` relative.  Panels are cached per ``(p, epsrel)`` on fixed dyadic
+    intervals, so whether a call uses them, and what it returns, depends
+    only on its input, never on earlier calls or threads.  A scalar or
+    short call, or one whose node rates underflow, integrates directly.
+
     Raises
     ------
     QuadratureError
@@ -190,8 +319,17 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
         # the occupations collapse to the window (0, E), empty for E <= 0
         return cumulative_dos(np.maximum(e, 0.0), p) / PLANCK
     mag, inv = np.unique(np.abs(e).ravel(), return_inverse=True)
+    panels = None
+    if mag.size and np.isfinite(mag[-1]):
+        try:
+            panels = _build_panels(mag, p, epsrel)
+        except QuadratureError:
+            # a build node failed: integrate the call's own energies, so
+            # that any error names one of them
+            pass
     try:
-        rate = _rate_at_temperature(mag, p, epsrel)
+        rate = (_rate_at_temperature(mag, p, epsrel) if panels is None
+                else np.exp(_clenshaw(panels, mag)))
     except QuadratureError as exc:
         i = int(np.argmax(inv == exc.problem))
         raise QuadratureError(

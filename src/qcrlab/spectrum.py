@@ -112,14 +112,21 @@ class SpectralDensity:
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
-            raise ValueError("grid and values must be matching 1-d arrays")
-        if len(self.grid) < 2 or np.any(np.diff(self.grid) <= 0):
-            raise GridError("frequency grid must be strictly increasing")
-        if self.grid[0] <= 0:
-            raise GridError("frequency grid must be positive")
+        _check_grid(self.grid)
+        if self.grid.shape != self.values.shape:
+            raise ValueError("values must match the grid's shape")
         if np.any(self.values < 0):
             raise ValueError("coupling rates must be nonnegative")
+
+
+def _check_grid(grid: np.ndarray) -> None:
+    """Raise GridError unless ``grid`` is 1-d, positive, strictly increasing
+    and at least two points long."""
+    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
+        raise GridError("frequency grid must be a strictly increasing 1-d "
+                        "array of at least two points")
+    if grid[0] <= 0:
+        raise GridError("frequency grid must be positive")
 
 
 class OptimalBias(NamedTuple):
@@ -409,10 +416,7 @@ def tabulate_spectrum(v: float, grid: np.ndarray, mode_template: ModeParams,
     coupling fraction held fixed; only the mode frequency varies.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise GridError("frequency grid must be strictly increasing")
-    if grid[0] <= 0:
-        raise GridError("frequency grid must be positive")
+    _check_grid(grid)
     vals = _directed_rates(v, HBAR * grid, {0: 1.0}, 0.0, mode_template, j,
                            dev, epsrel).net
     return SpectralDensity(grid, vals)

@@ -12,11 +12,12 @@ import pytest
 from scipy import constants as sc
 
 import qcrlab
-from qcrlab import read_table, spectrum, write_table
-from qcrlab.cli import load_and_validate, main
+from qcrlab import junction, read_table, spectrum, write_table
+from qcrlab.cli import _build_junction, load_and_validate, main
 from qcrlab.units import E_CHARGE, uev_to_joule
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
 def load_example(name):
@@ -189,9 +190,11 @@ class TestSweepRuns:
         meta = tmp_path / "out.csv.meta.json"
 
         def run(threads):
-            # start each run with no cached rf overlaps, so that the worker
-            # threads also share a cache they fill themselves
+            # start each run with no cached rf overlaps or F(E) interpolant,
+            # so that the worker threads also share caches they fill
+            # themselves
             spectrum._sideband_overlaps.cache_clear()
+            junction._published_bases.cache_clear()
             assert main(["--config", path, "--out", str(out),
                          "--threads", str(threads)]) == 0
             return out.read_bytes(), meta.read_bytes()
@@ -309,6 +312,29 @@ class TestSweepRuns:
         shift_hz = t.column("lamb_shift")[0]
         assert 1e5 < abs(shift_hz) < 1e8
 
+    def test_lamb_shift_sidecar_counts_the_interpolant(self, tmp_path):
+        cfg = load_example("lamb_shift.json")
+        cfg["grid"] = {"start": 0.6, "stop": 1.1, "points": 2}
+        out = tmp_path / "lamb.csv"
+        meta = tmp_path / "lamb.csv.meta.json"
+        # 301 frequencies ask for 602 energies per bias, more than the
+        # interpolant needs; 31 ask for 62, too few to build it
+        for points, built in ((301, True), (31, False)):
+            cfg["spectrum"] = {"points": points, "lo_factor": 0.02,
+                               "hi_factor": 50.0, "epsrel": 1e-6}
+            junction._published_bases.cache_clear()
+            assert main(["--config", dump_cfg(tmp_path, cfg),
+                         "--out", str(out)]) == 0
+            side = json.loads(meta.read_text())
+            panels, nodes = junction.interpolant_size(
+                _build_junction(cfg["junction"]), 1e-6)
+            if built:
+                assert panels > 0
+                assert side["f_interpolant"] == {"panels": panels,
+                                                 "nodes": nodes}
+            else:
+                assert "f_interpolant" not in side
+
     def test_ep_map_locus_in_sidecar(self, tmp_path):
         cfg = load_example("ep_map.json")
         cfg["flux"] = {"start": 0.0, "stop": 0.49, "points": 5}
@@ -331,6 +357,42 @@ class TestSweepRuns:
             s21 = t.column("s21_abs")
             assert np.all(np.isfinite(s21))
             assert s21.min() >= 0.0
+
+
+class TestBenchLambShift:
+    """The benchmark's lamb-shift input, read from ``bench/`` only."""
+
+    def run(self, tmp_path):
+        cfg = json.loads((BENCH_DIR / "inputs.json").read_text())
+        out = tmp_path / "lamb_shift.csv"
+        # a cold interpolant cache, as in a fresh CLI process
+        junction._published_bases.cache_clear()
+        assert main(["--config",
+                     dump_cfg(tmp_path, cfg["configs"]["lamb_shift"]),
+                     "--out", str(out)]) == 0
+        return read_table(str(out))
+
+    def test_matches_reference(self, tmp_path):
+        got = self.run(tmp_path)
+        ref = read_table(str(BENCH_DIR / "ref" / "lamb_shift.csv"))
+        np.testing.assert_array_equal(got.column("bias"), ref.column("bias"))
+        np.testing.assert_allclose(got.column("lamb_shift"),
+                                   ref.column("lamb_shift"),
+                                   rtol=1e-9, atol=0.0)
+
+    def test_integrates_few_energies(self, tmp_path, monkeypatch):
+        # each bias point asks F(E) for 2402 distinct energies; the
+        # interpolant built at the first serves both
+        integrated = []
+        direct = junction._rate_at_temperature
+
+        def counted(e, p, epsrel):
+            integrated.append(np.size(e))
+            return direct(e, p, epsrel)
+
+        monkeypatch.setattr(junction, "_rate_at_temperature", counted)
+        self.run(tmp_path)
+        assert 0 < sum(integrated) <= 400
 
 
 class TestCalibrateCommand:

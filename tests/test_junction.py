@@ -2,10 +2,12 @@
 
 import functools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -217,6 +219,93 @@ class TestBatchedForwardRate:
         assert f"E = {bad!r} J" in str(batch.value)
         assert batch.value.problem == 2
         assert batch.value.achieved == alone.value.achieved
+
+    def test_interpolant_failure_names_a_requested_energy(self,
+                                                           monkeypatch):
+        # enough energies to build the interpolant, whose first round
+        # already fails near 0.8 delta; the error must still name an
+        # energy of the call, indexed in the caller's array
+        monkeypatch.setattr(junction, "adaptive_quad",
+                            functools.partial(adaptive_quad, max_panels=36))
+        junction._published_bases.cache_clear()
+        j = make_j()
+        e = np.append(np.linspace(-3.0, 3.0, 399), 0.8) * DELTA
+        with pytest.raises(QuadratureError) as batch:
+            forward_rate(e.reshape(2, -1), j)
+        named = float(e[batch.value.problem])
+        assert f"E = {named!r} J" in str(batch.value)
+        with pytest.raises(QuadratureError):
+            forward_rate(named, j)
+
+
+def one_by_one(e, j, epsrel):
+    """``forward_rate`` of each energy alone.
+
+    Calls with at most 24 distinct energies always integrate directly
+    (the interpolant's first panel alone has 25 nodes), and a direct
+    batch equals its scalar calls bit for bit.
+    """
+    return np.concatenate([forward_rate(c, j, epsrel=epsrel)
+                           for c in np.array_split(e, -(-e.size // 24))])
+
+
+class TestInterpolatedForwardRate:
+    # more distinct energies than the interpolant has nodes anywhere in
+    # the drawn range (at most 950 at 10 mK and epsrel 1e-11)
+    SIZE = 1500
+
+    @settings(max_examples=10)
+    @given(st.floats(0.01, 0.3),
+           st.one_of(st.just(0.0), st.floats(-6.0, -3.0)),
+           st.sampled_from([1e-9, 1e-11]), st.integers(0, 2**32 - 1))
+    def test_matches_direct_quadrature(self, temp, log_dynes, epsrel, seed):
+        dynes = 0.0 if log_dynes == 0.0 else 10.0**log_dynes
+        j = make_j(dynes=dynes, temp=temp)
+        e = np.random.default_rng(seed).uniform(-6.0, 6.0, self.SIZE) * DELTA
+        junction._published_bases.cache_clear()
+        got = forward_rate(e, j, epsrel=epsrel)
+        assert junction.interpolant_size(j, epsrel)[0] > 0
+        # the reference is converged well below epsrel: at epsrel itself
+        # the direct quadrature misses by up to about 6 epsrel near the
+        # gap edge.  Below the smallest normal float, where detailed
+        # balance takes E < 0 to, no relative accuracy is left.
+        np.testing.assert_allclose(got, one_by_one(e, j, epsrel / 100),
+                                   rtol=epsrel, atol=np.finfo(float).tiny)
+
+    def test_panels_do_not_depend_on_the_first_call(self):
+        j = make_j()
+        base0 = []
+        for top in (2.0, 8.0):
+            junction._published_bases.cache_clear()
+            e = np.linspace(0.0, top, self.SIZE) * DELTA
+            first = forward_rate(e, j)
+            assert junction.interpolant_size(j, 1e-11)[0] > 0
+            np.testing.assert_array_equal(forward_rate(e, j), first)
+            base0.append(junction._published_bases(j, 1e-11)[0])
+        for a, b in zip(*base0):
+            np.testing.assert_array_equal(a, b)
+
+    def test_concurrent_builds_match_cold_calls(self):
+        # more threads than cores build overlapping bases at once, with
+        # frequent switches; each result equals the same call on a cold cache
+        j = make_j()
+        calls = [np.linspace(0.0, top, self.SIZE) * DELTA
+                 for top in (1.5, 3.0, 6.0, 7.5)]
+        cold = []
+        for e in calls:
+            junction._published_bases.cache_clear()
+            cold.append(forward_rate(e, j))
+        junction._published_bases.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                hot = list(pool.map(lambda e: forward_rate(e, j), calls,
+                                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(hot, cold):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestValidation:

@@ -343,8 +343,28 @@ class TestTabulation:
             SpectralDensity(np.array([2.0, 1.0]), np.array([0.0, 0.0]))
         with pytest.raises(GridError):
             SpectralDensity(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+        # a grid that is not 1-d is a grid defect, not a shape mismatch
+        square = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(GridError):
+            SpectralDensity(square, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            SpectralDensity(np.array([1.0, 2.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             SpectralDensity(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+
+    def test_tabulation_checks_grid_before_rates(self, monkeypatch,
+                                                 junction_50ghz, device,
+                                                 mode_10ghz):
+        def no_rates(*args, **kwargs):
+            raise AssertionError("F(E) evaluated on a bad grid")
+
+        monkeypatch.setattr(spectrum, "forward_rate", no_rates)
+        w = mode_10ghz.omega
+        for grid in ([[w, 2 * w], [3 * w, 4 * w]], [w], [2 * w, w],
+                     [0.0, w]):
+            with pytest.raises(GridError):
+                tabulate_spectrum(0.0, np.array(grid), mode_10ghz,
+                                  junction_50ghz, device)
 
 
 class TestModeParams:
