@@ -441,7 +441,6 @@ def _run_calibrate(cfg: dict, out: str, threads: int, rng) -> dict:
             "gamma_int_per_s": gint,
         }
 
-    ensure_parent_dir(out)
     with open(out, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -478,7 +477,6 @@ def run(cfg: dict, out: str, threads: int, seed: int) -> None:
         extra = _run_calibrate(cfg, out, threads, rng)
     else:
         cols, rows, extra = _COMMANDS[command](cfg, threads, rng)
-        ensure_parent_dir(out)
         write_table(out, cols, rows, comments=[f"qcrlab {command}"])
     sidecar = {
         "command": command,
@@ -518,6 +516,7 @@ def main(argv: list[str] | None = None) -> int:
         if "out" not in cfg:
             raise ConfigError("no output path: set 'out' in the config or "
                               "pass --out")
+        ensure_parent_dir(cfg["out"])
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1")
         if args.seed < 0:

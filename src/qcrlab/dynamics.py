@@ -29,7 +29,7 @@ from .errors import ConvergenceError, FitError, LeakageError
 from .junction import DeviceConfig, JunctionParams
 from .pchip import Pchip
 from .spectrum import (ModeParams, RatePair, fock_distribution,
-                       transition_rates)
+                       log_factorial, transition_rates)
 
 RateSource = Callable[[float], RatePair]
 
@@ -164,14 +164,18 @@ class LadderTrajectory:
         ``p C(m, j) p^j (1 - p)^(m - j)`` (``j + 1`` geometrics of ratio
         ``1 - p``).  A row misses only the mass above ``n_cut``.
         """
-        from scipy.special import gammaln, xlog1py, xlogy
         k = np.arange(self.init.n_cut + 1.0)
-        j = k[:, None]  # log C(k, j) is -inf for j > k
-        log_choose = gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1)
+        j = k[:, None]
+        kj = np.maximum(k - j, 0.0)
+        lf = log_factorial(k)
+        log_choose = np.where(j <= k, lf - lf[:, None] - lf[kj.astype(int)],
+                              -np.inf)
 
         def kept(p):  # [j, k]: chance that j of k photons stay, each with p
-            return np.exp(log_choose + xlogy(j, p)
-                          + xlog1py(np.maximum(k - j, 0.0), -p))
+            # j log p and (k - j) log(1 - p), each 0 where its count is 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.exp(log_choose + np.where(j > 0, j * np.log(p), 0.0)
+                              + np.where(kj > 0, kj * np.log1p(-p), 0.0))
 
         rows = [p * (kept(p).T @ (kept(eta * p) @ self.init.probs))
                 for eta, p in zip(self.eta, 1.0 / (1.0 + self.n))]

@@ -113,8 +113,10 @@ def fermi(e, t: float):
     if t == 0:
         out = np.where(e < 0, 1.0, np.where(e > 0, 0.0, 0.5))
     else:
-        from scipy.special import expit
-        out = expit(-e / (K_B * t))
+        # 1/(e^x + 1) through u = e^{-|x|} <= 1, which cannot overflow
+        x = e / (K_B * t)
+        u = np.exp(-np.abs(x))
+        out = np.where(x > 0, u, 1.0) / (1.0 + u)
     if out.ndim == 0:
         return float(out)
     return out

@@ -187,9 +187,8 @@ def _refine(f, a, b, pts, start, batch, epsrel, max_panels):
             k = failed[0]
             what = ("stalled" if stalled[k]
                     else f"exceeded {max_panels} panels")
-            which = f" (problem {start + k})" if batch else ""
             raise QuadratureError(
-                f"quadrature over [{float(a[k])!r}, {float(b[k])!r}]{which} "
+                f"quadrature over [{float(a[k])!r}, {float(b[k])!r}] "
                 f"{what} at error {toterr[k]:.3e} (tolerance {tol[k]:.3e})",
                 achieved=float(toterr[k]), problem=int(start + k))
         keep = active & ~split

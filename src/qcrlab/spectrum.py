@@ -134,6 +134,13 @@ class OptimalBias(NamedTuple):
     t_eff: float
 
 
+def log_factorial(k) -> np.ndarray:
+    """``log(k!)`` elementwise over nonnegative integers ``k``, by
+    ``math.lgamma``."""
+    k = np.asarray(k, dtype=float)
+    return np.array([math.lgamma(x + 1.0) for x in k.flat]).reshape(k.shape)
+
+
 def fock_distribution(ks, mean_n: float,
                       distribution: Literal["coherent", "thermal"]):
     """Poisson ("coherent") or geometric ("thermal") Fock probabilities.
@@ -146,8 +153,7 @@ def fock_distribution(ks, mean_n: float,
     if n == 0.0:
         return (ks == 0).astype(float)
     if distribution == "coherent":
-        from scipy.special import gammaln
-        return np.exp(ks * math.log(n) - n - gammaln(ks + 1))
+        return np.exp(ks * math.log(n) - n - log_factorial(ks))
     return np.exp(ks * math.log(n / (1.0 + n)) - math.log(1.0 + n))
 
 
@@ -158,23 +164,40 @@ def occupation_prob(k: int, d: DriveState) -> float:
     return float(fock_distribution(k, d.mean_n, d.distribution))
 
 
-def _overlap_sq(m: np.ndarray, d: int, rho: float) -> np.ndarray:
-    """|<m + d| D(rho) |m>|^2 over an integer array of lower indices ``m``.
+def _overlap_sq(m_max: int, ds, rho: float) -> np.ndarray:
+    """``|<m + d| D(rho) |m>|^2`` for ``m = 0..m_max``, one row per ``d``.
 
-    Evaluated in the log domain so that large indices neither overflow
-    nor underflow prematurely.
+    The overlap is ``e^{-x} x^d m!/(m + d)! L_m^(d)(x)^2`` with
+    ``x = rho^2``.  The Laguerre polynomials come from their recurrence
+    in ``m``, all orders ``ds`` at once, in the normalised form that
+    scipy's ``eval_genlaguerre`` steps through, ``p_m = L_m^(d)/C(m + d, m)``
+    and its forward difference ``s_m``; that keeps the relative error
+    small near the zeros of ``L``.  The product is taken in the log
+    domain, so large indices neither overflow nor underflow prematurely;
+    a zero of ``L`` gives an exact zero.
     """
+    ds = np.asarray(ds)
     if rho == 0.0:
-        return np.full(m.shape, 1.0 if d == 0 else 0.0)
-    # loaded on first use: rf-sweep is the only command that gets here
-    from scipy.special import eval_genlaguerre, gammaln
+        return np.where(ds[:, None] == 0, 1.0, np.zeros(m_max + 1))
     x = rho * rho
-    lag = eval_genlaguerre(m, d, x)
+    # s_m = -x/(m + d + 1) p_m + m/(m + d + 1) s_{m-1},  p_{m+1} = p_m + s_m
+    m = np.arange(1.0, m_max)[:, None]
+    a, b = -x / (m + ds + 1.0), m / (m + ds + 1.0)
+    p = np.ones((m_max + 1, ds.size))
+    step = -x / (ds + 1.0)
+    if m_max:
+        p[1] = step + 1.0
+    for i in range(m_max - 1):
+        step = a[i] * p[i + 1] + b[i] * step
+        p[i + 2] = step + p[i + 1]
+    p = p.T
+    lf = log_factorial(np.arange(m_max + ds.max() + 1))
     with np.errstate(divide="ignore"):
-        log_m = (-x + 2.0 * d * math.log(rho)
-                 + gammaln(m + 1) - gammaln(m + d + 1)
-                 + 2.0 * np.log(np.abs(lag)))
-    return np.where(lag == 0.0, 0.0, np.exp(log_m))
+        # m!/(m + d)! C(m + d, m)^2 = (m + d)!/(m! d!^2)
+        log_m = (-x + 2.0 * ds[:, None] * math.log(rho)
+                 + lf[np.arange(m_max + 1) + ds[:, None]] - lf[:m_max + 1]
+                 - 2.0 * lf[ds][:, None] + 2.0 * np.log(np.abs(p)))
+    return np.where(p == 0.0, 0.0, np.exp(log_m))
 
 
 def fock_matrix_sq(k: int, l: int, rho: float) -> float:
@@ -187,7 +210,7 @@ def fock_matrix_sq(k: int, l: int, rho: float) -> float:
         raise ValueError("Fock indices must be nonnegative")
     if rho < 0:
         raise ValueError("displacement must be nonnegative")
-    return float(_overlap_sq(np.array([min(k, l)]), abs(k - l), rho)[0])
+    return float(_overlap_sq(min(k, l), [abs(k - l)], rho)[0, -1])
 
 
 @functools.lru_cache(maxsize=8)
@@ -200,12 +223,10 @@ def _sideband_overlaps(rho: float, fock_cut: int,
     once; the arrays are shared between calls and threads, hence
     read-only.
     """
-    pairs = []
-    for s in range(-l_max, l_max + 1):
-        msq = _overlap_sq(np.arange(fock_cut + 1 - max(s, 0)), abs(s), rho)
-        msq.flags.writeable = False
-        pairs.append((s, msq))
-    return tuple(pairs)
+    table = _overlap_sq(fock_cut, np.arange(l_max + 1), rho)
+    table.flags.writeable = False
+    return tuple((s, table[abs(s), :fock_cut + 1 - max(s, 0)])
+                 for s in range(-l_max, l_max + 1))
 
 
 def _sideband_weights(d: DriveState, rho: float) -> dict[int, float]:

@@ -67,9 +67,59 @@ def _balance(t_a: float, net: ThermalNetwork, t_b: float) -> float:
     return p_photon + p_ep + net.p_const
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """Root of ``f`` in the bracket ``[xa, xb]`` by Brent's method.
+
+    A line-for-line port of scipy's ``brentq.c`` (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), so it returns the
+    same root as ``scipy.optimize.brentq`` bit for bit.  ``f(xa)`` and
+    ``f(xb)`` must differ in sign.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must differ in sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceError(
+        f"Brent's method did not converge in {maxiter} iterations")
+
+
 def steady_state(net: ThermalNetwork, t_b: float) -> float:
     """Island-A temperature balancing photon, phonon, and constant loads."""
-    from scipy.optimize import brentq
     if t_b <= 0:
         raise ValueError("island-B temperature must be positive")
     lo = 1e-12
@@ -83,10 +133,10 @@ def steady_state(net: ThermalNetwork, t_b: float) -> float:
         hi *= 2.0
     else:
         return _raise_bracket(net, t_b)
-    root = brentq(_balance, lo, hi, args=(net, t_b),
-                  xtol=1e-18, rtol=8.9e-16, maxiter=300)
+    root = _brentq(lambda t_a: _balance(t_a, net, t_b), lo, hi,
+                   xtol=1e-18, rtol=8.9e-16, maxiter=300)
     residual = abs(_balance(root, net, t_b))
-    if residual >= 1e-18:
+    if not residual < 1e-18:
         raise ConvergenceError(
             f"heat balance residual {residual:.3e} W at the root")
     return float(root)

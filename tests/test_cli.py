@@ -12,7 +12,7 @@ import pytest
 from scipy import constants as sc
 
 import qcrlab
-from qcrlab import junction, read_table, spectrum, write_table
+from qcrlab import cli, junction, read_table, spectrum, write_table
 from qcrlab.cli import _build_junction, load_and_validate, main
 from qcrlab.units import E_CHARGE, uev_to_joule
 
@@ -86,6 +86,20 @@ class TestConfigHandling:
         out = str(tmp_path / "x.csv")
         assert main(["--config", path, "--out", out, "--threads", "0"]) == 2
         assert main(["--config", path, "--out", out, "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize("name", ["reset_sim.json", "calibrate.json"])
+    def test_missing_out_dir_exits_2_before_running(self, tmp_path, capsys,
+                                                    monkeypatch, name):
+        def never(*args):
+            raise AssertionError("run was entered")
+
+        monkeypatch.setattr(cli, "run", never)
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["--config", str(CONFIG_DIR / name), "--out", str(out)])
+        assert code == 2
+        assert ("config error: output directory does not exist"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "absent.json"),
@@ -542,6 +556,18 @@ class TestStartup:
         cfg["flux"] = {"start": 0.0, "stop": 0.49, "points": 3}
         cfg["probe"] = {"f_start_ghz": 5.18, "f_stop_ghz": 5.27, "points": 3}
         add("ep-map", cfg)
+        cfg = load_example("thermal.json")
+        cfg["grid"] = {"start": 0.05, "stop": 0.2, "points": 3}
+        add("thermal", cfg)
+        cfg = load_example("rf_sweep.json")
+        cfg["epsrel"] = 1e-9
+        cfg["drive"]["fock_cut"] = 120
+        cfg["grid"] = {"start": 0.0, "stop": 50.0, "points": 2}
+        add("rf-sweep", cfg)
+        cfg = load_example("source.json")
+        cfg["grid"] = {"start": 0.05, "stop": 5.0, "points": 5}
+        add("source", cfg)
+        add("calibrate", load_example("calibrate.json"))
         probe = (
             "import json, sys\n"
             "def loaded():\n"

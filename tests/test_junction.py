@@ -2,8 +2,10 @@
 
 import functools
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -66,6 +68,21 @@ class TestFermi:
     def test_zero_temperature_step(self):
         assert fermi(1e-25, 0.0) == 0.0
         assert fermi(-1e-25, 0.0) == 1.0
+
+    @settings(max_examples=200)
+    @given(st.floats(-700.0, 700.0))
+    def test_logistic_accuracy(self, x):
+        # within 2 ulp of the exact logistic; scipy's expit is too, through
+        # libm's exp where numpy has its own, so the two may differ by 4
+        t = 0.1
+        e = x * K_B * t
+        x = e / (K_B * t)
+        got = fermi(e, t)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = float(1 / (1 + Decimal(x).exp()))
+        assert abs(got - exact) <= 2 * math.ulp(exact)
+        assert abs(got - expit(-x)) <= 4 * math.ulp(exact)
 
     def test_complement_identity(self):
         e = np.linspace(-5, 5, 11) * K_B * 0.1
@@ -234,6 +251,9 @@ class TestBatchedForwardRate:
             forward_rate(e.reshape(2, -1), j)
         named = float(e[batch.value.problem])
         assert f"E = {named!r} J" in str(batch.value)
+        # the inner quadrature indexes the de-duplicated |E|, not the call
+        assert re.findall(r"problem (\d+)", str(batch.value)) in (
+            [], [str(batch.value.problem)])
         with pytest.raises(QuadratureError):
             forward_rate(named, j)
 

@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_genlaguerre, gammaln
 
 from qcrlab import spectrum
 from qcrlab import (DeviceConfig, DriveState, JunctionParams, ModeParams,
@@ -44,6 +45,50 @@ class TestOccupationProb:
         assert occupation_prob(0, d) == 1.0
         assert occupation_prob(5, d) == 0.0
 
+
+class TestFockDistribution:
+    @given(st.floats(-3.0, 3.5).map(lambda x: 10.0 ** x))
+    def test_poisson_matches_gammaln(self, mean_n):
+        ks = np.arange(int(mean_n + 12.0 * math.sqrt(mean_n) + 60.0))
+        want = np.exp(ks * math.log(mean_n) - mean_n - gammaln(ks + 1))
+        np.testing.assert_allclose(
+            spectrum.fock_distribution(ks, mean_n, "coherent"), want,
+            rtol=0, atol=1e-12)
+
+
+def scipy_overlap_sq(m, d, rho):
+    """``|<m + d| D(rho) |m>|^2`` from scipy's Laguerre polynomials."""
+    x = rho * rho
+    lag = eval_genlaguerre(m, d, x)
+    with np.errstate(divide="ignore"):
+        log_m = (-x + 2.0 * d * math.log(rho) + gammaln(m + 1)
+                 - gammaln(m + d + 1) + 2.0 * np.log(np.abs(lag)))
+    return np.where(lag == 0.0, 0.0, np.exp(log_m))
+
+
+class TestLaguerreOverlaps:
+    # fock_cut and l_max span the schema up to a fock_cut the O(fock_cut^2)
+    # scipy oracle evaluates quickly; rho covers weak to strong coupling
+    @settings(max_examples=15)
+    @given(st.floats(-4.0, 0.5).map(lambda x: 10.0 ** x),
+           st.integers(0, 2500), st.integers(0, 20))
+    def test_overlaps_match_scipy(self, rho, fock_cut, l_max):
+        got = spectrum._overlap_sq(fock_cut, np.arange(l_max + 1), rho)
+        m = np.arange(fock_cut + 1)
+        for d, row in enumerate(got):
+            want = scipy_overlap_sq(m, d, rho)
+            big = want >= 1e-12 * want.max()
+            np.testing.assert_allclose(row[big], want[big], rtol=1e-9)
+            assert np.all(row[~big] <= 1e-11 * want.max())
+
+    @settings(max_examples=10)
+    @given(st.integers(0, 25), st.floats(0.0, 2.0))
+    def test_rows_and_columns_sum_to_one(self, k, rho):
+        ls = range(k + 150)
+        assert math.fsum(fock_matrix_sq(k, l, rho) for l in ls) == \
+            pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(fock_matrix_sq(l, k, rho) for l in ls) == \
+            pytest.approx(1.0, abs=1e-12)
 
 class TestFockMatrix:
     def test_identity_at_zero_displacement(self):

@@ -1,9 +1,15 @@
 """Photon-channel heat transport and island steady-state tests."""
 
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import constants as sc
+from scipy.optimize import brentq
 
 from qcrlab import (
     ThermalNetwork,
@@ -11,7 +17,9 @@ from qcrlab import (
     differential_response,
     g_quantum,
     steady_state,
+    thermal,
 )
+from qcrlab.errors import ConvergenceError
 
 SIGMA = 2e9      # W m^-3 K^-5
 VOLUME = 1e-18   # m^3
@@ -142,3 +150,49 @@ class TestSteadyState:
             make_net(ep_sigma=-1.0)
         with pytest.raises(ValueError):
             make_net(p_const=-1e-20)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+def scipy_bracketed_root(net, t_b):
+    """The heat-balance root by ``scipy.optimize.brentq`` on the bracket
+    and tolerances ``steady_state`` uses."""
+    hi = max(t_b, net.t0)
+    while thermal._balance(hi, net, t_b) >= 0:
+        hi *= 2.0
+    return hi, brentq(thermal._balance, 1e-12, hi, args=(net, t_b),
+                      xtol=1e-18, rtol=8.9e-16, maxiter=300)
+
+
+class TestBrentPort:
+    @settings(max_examples=200)
+    @given(log_uniform(1e-3, 1.0), log_uniform(1e6, 1e11),
+           log_uniform(1e-21, 1e-15),
+           st.one_of(st.just(0.0), log_uniform(1e-22, 1e-12)),
+           log_uniform(1e-3, 10.0))
+    def test_matches_scipy_bitwise(self, t0, sigma, vol, p_const, t_b):
+        net = ThermalNetwork(t0=t0, p_const=p_const, ep_sigma=sigma,
+                             volume=vol)
+        assume(thermal._balance(1e-12, net, t_b) > 0)
+        hi, want = scipy_bracketed_root(net, t_b)
+        got = thermal._brentq(lambda t: thermal._balance(t, net, t_b),
+                              1e-12, hi, xtol=1e-18, rtol=8.9e-16,
+                              maxiter=300)
+        assert got == want
+
+    def test_shipped_config_points_match_scipy_bitwise(self):
+        cfg = json.loads((Path(__file__).resolve().parent.parent
+                          / "configs" / "thermal.json").read_text())
+        blk, grid = cfg["thermal"], cfg["grid"]
+        net = ThermalNetwork(t0=blk["t0_k"], ep_sigma=blk["ep_sigma_w_m3_k5"],
+                             volume=blk["volume_m3"])
+        for t_b in np.linspace(grid["start"], grid["stop"], grid["points"]):
+            assert steady_state(net, float(t_b)) == \
+                scipy_bracketed_root(net, float(t_b))[1]
+
+    def test_no_convergence_raises(self):
+        with pytest.raises(ConvergenceError):
+            thermal._brentq(lambda t: t ** 9 - 0.3, 0.0, 1.0, xtol=1e-18,
+                            rtol=8.9e-16, maxiter=3)
