@@ -11,14 +11,16 @@ is a Moebius map of the initial one, G0 (Kendall, Ann. Math. Stat. 19,
 1 (1948)): G(s) = G0(1 - eta u/(1 + n u))/(1 + n u), u = 1 - s, where
 eta = exp(-int (down - up) dt) and dn/dt = up - (down - up) n, n(0) = 0.
 Two scalars thus carry the dynamics, exactly on the infinite ladder;
-only the initial state is cut at ``n_cut``.
+only the initial state is cut at ``n_cut``.  At constant rates both have
+closed forms; on a bias ramp the rates are cubics of the bias between
+samples, so -log eta is a quartic in time and n one integral of a
+positive integrand.  No ODE stepper is involved.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -28,22 +30,23 @@ import numpy as np
 from .errors import ConvergenceError, FitError, LeakageError
 from .junction import DeviceConfig, JunctionParams
 from .pchip import Pchip
+from .quadrature import adaptive_quad
 from .spectrum import (ModeParams, RatePair, fock_distribution,
                        log_factorial, transition_rates)
 
 RateSource = Callable[[float], RatePair]
 
 # Biases sampled along a ramp: the knots of its rate interpolant, and the
-# ends of the pieces a ramp is integrated in.
+# ends of the pieces a ramp is propagated in.
 RAMP_SAMPLES = 33
 
 
+# Not called by this module; kept because benchmark tracing patches it by name.
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on first call.
 
-    Only ``evolve`` needs ``scipy.integrate``, the costliest import of
-    the package, so commands that never integrate the ladder do not pay
-    for it at start-up.
+    ``scipy.integrate`` is the costliest import of the package, so it
+    loads only if this is called.
     """
     from scipy.integrate import solve_ivp as _solve_ivp
     return _solve_ivp(*args, **kwargs)
@@ -202,58 +205,42 @@ class DcRateSource:
         return r
 
 
-def _total_rates(env_rates: RatePair, extra_gamma: float,
-                 extra_occupation: float) -> tuple[float, float]:
-    up = env_rates.up + extra_gamma * extra_occupation
-    down = env_rates.down + extra_gamma * (1.0 + extra_occupation)
-    return up, down
+def _relax(n_a: float, up: float, net: float, u):
+    """``(-log eta, n)`` gained over a time ``u`` at constant rates.
 
-
-def _scalar_pchip(x: np.ndarray, y: np.ndarray) -> Callable[[float], tuple]:
-    """PCHIP through the columns of ``y`` at knots ``x``, for one point.
-
-    Reads the knots and coefficients of :class:`~qcrlab.pchip.Pchip` once
-    and sums each cubic in ascending powers of the offset from its
-    interval's left knot, as its array evaluator does, so the values agree
-    with it bit for bit while a call works on plain floats.  Outside
-    ``[x[0], x[-1]]`` the end cubics extrapolate.
+    ``n`` relaxes from ``n_a`` towards ``up/net`` at the rate ``net``.
     """
-    pp = Pchip(x, y)
-    knots = pp.x.tolist()
-    last = len(knots) - 2
-    # coef[i][j]: ascending-power coefficients of column j on interval i
-    coef = pp.c[::-1].transpose(1, 2, 0).tolist()
-
-    def at(v: float) -> tuple:
-        i = min(max(bisect_right(knots, v) - 1, 0), last)
-        s = v - knots[i]
-        out = []
-        for cs in coef[i]:
-            res, z = 0.0, 1.0
-            for c in cs:
-                res += c * z
-                z *= s
-            out.append(res)
-        return tuple(out)
-
-    return at
+    if net == 0.0:
+        return net * u, n_a + up * u
+    return net * u, n_a * np.exp(-net * u) - up * np.expm1(-net * u) / net
 
 
 def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
            extra_gamma: float = 0.0, extra_occupation: float = 0.0,
            t_end: float | None = None, *, t_eval: Sequence[float] | None = None,
-           rtol: float = 1e-10, atol: float = 1e-14) -> LadderTrajectory:
+           rtol: float = 1e-10) -> LadderTrajectory:
     """Evolve the ladder from ``init`` over the pulse waveform to ``t_end``.
 
-    Integrates ``y = (-log eta, n)`` of the Moebius map from ``(0, 0)``,
-    so the cost does not depend on ``n_cut``.  ``env`` maps a device bias
-    to directed junction rates; it is sampled only at the waveform levels
-    and at ``RAMP_SAMPLES`` evenly spaced biases along ramps, which a
-    monotone cubic (PCHIP) bridges, so expensive rate evaluations are not
-    repeated inside the stepper.  Each stretch of constant bias is one
-    stepper call.  Ramps are integrated knot to knot: each ramp is split
-    at the times its bias crosses a sample, where the interpolant's second
-    derivative jumps, and each piece is one stepper call.
+    Propagates ``y = (-log eta, n)`` of the Moebius map from ``(0, 0)``,
+    segment by segment, so the cost does not depend on ``n_cut``.  ``env``
+    maps a device bias to directed junction rates; it is sampled only at
+    the waveform levels and at ``RAMP_SAMPLES`` evenly spaced biases along
+    ramps, which a monotone cubic (PCHIP) bridges.
+
+    On a stretch of constant bias, ``-log eta`` grows by ``(down - up) u``
+    and ``n`` relaxes exponentially towards ``up/(down - up)``.  A ramp is
+    split at the times its bias crosses a sample; between two, the bias is
+    linear in time and each rate a cubic of it, so ``-log eta`` gains the
+    exact quartic antiderivative ``dL``, and
+    ``n(t) = n_a e^{-dL(t)} + int_a^t up(tau) e^{-(dL(t) - dL(tau))} dtau``.
+    The integrals of every ramp piece and every sample on it go through
+    one batched :func:`~qcrlab.quadrature.adaptive_quad` call to relative
+    tolerance ``rtol``.
+
+    Raises
+    ------
+    ConvergenceError
+        When a sampled rate is not finite; the message names its bias.
     """
     if t_end is None:
         t_end = sched.t_end_pulse
@@ -267,52 +254,83 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
     if np.any(t_eval < 0) or np.any(t_eval > t_end) or np.any(np.diff(t_eval) < 0):
         raise ValueError("t_eval must be sorted inside [0, t_end]")
 
-    rate_of_v: dict[float, tuple[float, float]] = {
-        v: _total_rates(env(v), extra_gamma, extra_occupation)
-        for v in (sched.v_off, sched.v_on)}
+    def rates(v: float) -> tuple[float, float]:
+        """Total ``(up, down)``: the junction's plus the extra channel's."""
+        r = env(v)
+        up = r.up + extra_gamma * extra_occupation
+        down = r.down + extra_gamma * (1.0 + extra_occupation)
+        if not (math.isfinite(up) and math.isfinite(down)):
+            raise ConvergenceError(f"ladder rates at bias {v!r} V are not "
+                                   f"finite: up {up!r}, down {down!r}")
+        return up, down
 
+    poly = np.polynomial.polynomial
+    levels = {v: rates(v) for v in (sched.v_off, sched.v_on)}
     edges = {0.0, t_end, *sched.breakpoints()}
-    ramp = None
+    rise_end = sched.t_start + sched.rise_fall
     if sched.rise_fall > 0 and sched.v_on != sched.v_off:
-        vlo = min(sched.v_off, sched.v_on)
-        vhi = max(sched.v_off, sched.v_on)
-        vgrid = np.linspace(vlo, vhi, RAMP_SAMPLES)
-        ramp = _scalar_pchip(vgrid, np.array(
-            [_total_rates(env(v), extra_gamma, extra_occupation)
-             for v in vgrid]))
+        vgrid = np.linspace(min(sched.v_off, sched.v_on),
+                            max(sched.v_off, sched.v_on), RAMP_SAMPLES)
+        # ascending-power coefficients [power, interval] of up and of the
+        # antiderivative of net, zero at the interval's left knot
+        c = Pchip(vgrid, [rates(v) for v in vgrid.tolist()]).c[::-1]
+        c_up, c_lnet = c[..., 0], poly.polyint(c[..., 1] - c[..., 0])
+        slope = (sched.v_on - sched.v_off) / sched.rise_fall
         # the bias is linear on a ramp, so it meets the samples at evenly
         # spaced times
-        rise_end = sched.t_start + sched.rise_fall
         fall_start = rise_end + sched.width
         edges.update(np.linspace(sched.t_start, rise_end, RAMP_SAMPLES).tolist())
         edges.update(np.linspace(fall_start, sched.t_end_pulse,
                                  RAMP_SAMPLES).tolist())
     seg_edges = sorted(b for b in edges if 0.0 <= b <= t_end)
 
-    def rhs(t, y, lo, hi):
-        # the bias one ulp inside the segment, so that a square pulse's
-        # segment ends read the level of the segment, not its neighbour's
-        v = sched.voltage(min(max(t, lo), hi))
-        up, down = rate_of_v.get(v) or ramp(v)
-        return [down - up, up - (down - up) * y[1]]
-
-    y = np.zeros(2)  # the identity map, which samples at t = 0 read
-    ys = [np.zeros((2, np.count_nonzero(t_eval == 0.0)))]
+    # each segment reads its level, or its ramp interval, at its midpoint;
+    # on a ramp, each sample and the end is one integral to take
+    segs, ramp = [], []
     for a, b in zip(seg_edges[:-1], seg_edges[1:]):
-        sub = t_eval[(t_eval > a) & (t_eval <= b)]
-        # the end state comes from the same solve: b is sampled with the
-        # rest, or, with nothing to sample, is where the last step ends
-        ask = sub if not len(sub) or sub[-1] == b else np.append(sub, b)
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol,
-                        atol=atol, t_eval=ask if len(ask) else None,
-                        args=(float(np.nextafter(a, b)),
-                              float(np.nextafter(b, a))))
-        if not sol.success:
-            raise ConvergenceError(f"ladder integration failed: {sol.message}")
-        ys.append(sol.y[:, :len(sub)])
-        y = sol.y[:, -1]
+        j0, j1 = np.searchsorted(t_eval, [a, b], side="right")
+        u = np.append(t_eval[j0:j1], b) - a   # the samples, then the end
+        v = sched.voltage(0.5 * (a + b))
+        segs.append((j0, j1, u, levels.get(v)))
+        if v not in levels:
+            i = min(max(int(np.searchsorted(vgrid, v, side="right")) - 1, 0),
+                    RAMP_SAMPLES - 2)
+            dvdt = slope if a < rise_end else -slope
+            # s(u) = s_a + dvdt u: the bias above the interval's left knot
+            s_a = v - vgrid[i] - 0.5 * dvdt * (b - a)
+            ramp.extend((i, s_a, dvdt, x) for x in u)
 
-    log_eta, n = np.hstack(ys)
+    if ramp:
+        ival, s_a, dvdt, ramp_u = np.array(ramp).T
+        ival = ival.astype(int)
+        pv = poly.polyval
+        lnet_u = pv(s_a + dvdt * ramp_u, c_lnet[:, ival], tensor=False)
+        gain = (lnet_u - pv(s_a, c_lnet[:, ival], tensor=False)) / dvdt
+
+        def integrand(arg):
+            x, own = arg
+            s = s_a[own] + dvdt[own] * x
+            k = ival[own]
+            return (pv(s, c_up[:, k], tensor=False)
+                    * np.exp((pv(s, c_lnet[:, k], tensor=False) - lnet_u[own])
+                             / dvdt[own]))
+
+        fed = adaptive_quad(integrand, np.zeros(ramp_u.size), ramp_u,
+                            epsrel=rtol).value
+
+    # (-log eta, n) at each sample; those at t = 0 keep the identity map
+    log_eta, n = np.zeros(t_eval.size), np.zeros(t_eval.size)
+    l_a, n_a, q = 0.0, 0.0, 0   # the map at the segment's start
+    for j0, j1, u, level in segs:
+        if level is not None:
+            dl, dn = _relax(n_a, level[0], level[1] - level[0], u)
+        else:
+            dl, fed_u = gain[q:q + u.size], fed[q:q + u.size]
+            q += u.size
+            dn = n_a * np.exp(-dl) + fed_u
+        log_eta[j0:j1] = l_a + dl[:-1]
+        n[j0:j1] = dn[:-1]
+        l_a, n_a = l_a + float(dl[-1]), float(dn[-1])
     return LadderTrajectory(t_eval, np.exp(-log_eta), n, init)
 
 

@@ -29,8 +29,8 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .errors import (GridError, NonpositiveTemperatureError, TruncationError,
-                     UndefinedSteadyStateError)
+from .errors import (GridError, NonpositiveTemperatureError, QcrlabError,
+                     TruncationError, UndefinedSteadyStateError)
 from .junction import DeviceConfig, JunctionParams, forward_rate
 from .units import E_CHARGE, HBAR, K_B, R_K
 
@@ -174,7 +174,8 @@ def _overlap_sq(m_max: int, ds, rho: float) -> np.ndarray:
     and its forward difference ``s_m``; that keeps the relative error
     small near the zeros of ``L``.  The product is taken in the log
     domain, so large indices neither overflow nor underflow prematurely;
-    a zero of ``L`` gives an exact zero.
+    a zero of ``L`` gives an exact zero.  Raises :class:`QcrlabError`
+    when ``L`` itself overflows, as at ``rho = 40`` up to ``m = 400``.
     """
     ds = np.asarray(ds)
     if rho == 0.0:
@@ -187,9 +188,11 @@ def _overlap_sq(m_max: int, ds, rho: float) -> np.ndarray:
     step = -x / (ds + 1.0)
     if m_max:
         p[1] = step + 1.0
-    for i in range(m_max - 1):
-        step = a[i] * p[i + 1] + b[i] * step
-        p[i + 2] = step + p[i + 1]
+    # an overflow here leaves a non-finite table, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(m_max - 1):
+            step = a[i] * p[i + 1] + b[i] * step
+            p[i + 2] = step + p[i + 1]
     p = p.T
     lf = log_factorial(np.arange(m_max + ds.max() + 1))
     with np.errstate(divide="ignore"):
@@ -197,7 +200,11 @@ def _overlap_sq(m_max: int, ds, rho: float) -> np.ndarray:
         log_m = (-x + 2.0 * ds[:, None] * math.log(rho)
                  + lf[np.arange(m_max + 1) + ds[:, None]] - lf[:m_max + 1]
                  - 2.0 * lf[ds][:, None] + 2.0 * np.log(np.abs(p)))
-    return np.where(p == 0.0, 0.0, np.exp(log_m))
+    table = np.where(p == 0.0, 0.0, np.exp(log_m))
+    if not np.isfinite(table).all():
+        raise QcrlabError(f"displacement overlaps at rho = {rho!r} overflow "
+                          f"within fock_cut = {m_max}")
+    return table
 
 
 def fock_matrix_sq(k: int, l: int, rho: float) -> float:

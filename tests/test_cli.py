@@ -12,7 +12,8 @@ import pytest
 from scipy import constants as sc
 
 import qcrlab
-from qcrlab import cli, junction, read_table, spectrum, write_table
+from qcrlab import (RatePair, cli, dynamics, junction, read_table, spectrum,
+                    write_table)
 from qcrlab.cli import _build_junction, load_and_validate, main
 from qcrlab.units import E_CHARGE, uev_to_joule
 
@@ -268,6 +269,45 @@ class TestSweepRuns:
         assert "numeric error:" in capsys.readouterr().err
         assert not out.exists()
         assert not Path(str(out) + ".meta.json").exists()
+
+    @pytest.mark.parametrize("where", ["level", "ramp knot"])
+    def test_reset_sim_nonfinite_rate_exits_3_naming_bias(
+            self, tmp_path, capsys, monkeypatch, where):
+        cfg = load_example("reset_sim.json")
+        cfg["grid"] = {"start": 0.0, "stop": 80.0, "points": 9}
+        v_on = cfg["pulse"]["amplitude"] * cli._bias_scale(
+            _build_junction(cfg["junction"]))
+        real = dynamics.transition_rates
+
+        def poisoned(v, *args, **kwargs):
+            r = real(v, *args, **kwargs)
+            bad = v == v_on if where == "level" else 0.0 < v < v_on
+            return RatePair(up=r.up, down=math.nan) if bad else r
+
+        monkeypatch.setattr(dynamics, "transition_rates", poisoned)
+        out = tmp_path / "nan.csv"
+        code = main(["--config", dump_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        # a level is read before the ramp knots, the lowest knot first
+        v_bad = (v_on if where == "level"
+                 else v_on / (dynamics.RAMP_SAMPLES - 1))
+        assert f"at bias {v_bad!r} V are not finite" in err
+        assert not out.exists()
+
+    def test_rf_sweep_overlap_overflow_exits_3_without_output(self, tmp_path,
+                                                              capsys):
+        # rho of the supporting mode is about 40: the Laguerre polynomials
+        # overflow below fock_cut = 400
+        cfg = load_example("rf_sweep.json")
+        cfg["support_mode"].update(alpha=1.0, impedance_ohm=1.3e7)
+        cfg["drive"]["fock_cut"] = 400
+        cfg["grid"] = {"start": 0.0, "stop": 1.0, "points": 2}
+        out = tmp_path / "rf.csv"
+        code = main(["--config", dump_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 3
+        assert "fock_cut = 400" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rf_sweep_drive_activates_rates(self, tmp_path):
         cfg = load_example("rf_sweep.json")
@@ -568,6 +608,9 @@ class TestStartup:
         cfg["grid"] = {"start": 0.05, "stop": 5.0, "points": 5}
         add("source", cfg)
         add("calibrate", load_example("calibrate.json"))
+        cfg = load_example("reset_sim.json")
+        cfg["grid"] = {"start": 0.0, "stop": 80.0, "points": 9}
+        add("reset-sim", cfg)
         probe = (
             "import json, sys\n"
             "def loaded():\n"

@@ -8,14 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import expm
 
-from qcrlab import (DeviceConfig, JunctionParams, LadderState, ModeParams,
-                    PulseSchedule, RatePair, dynamics, evolve,
-                    extract_gamma_by_pulse_sweep, reset_infidelity)
+from qcrlab import (DeviceConfig, JunctionParams, LadderState,
+                    LadderTrajectory, ModeParams, PulseSchedule, RatePair,
+                    dynamics, evolve, extract_gamma_by_pulse_sweep,
+                    reset_infidelity)
 from qcrlab.errors import FitError, LeakageError
 from qcrlab.units import E_CHARGE, ghz_to_omega, uev_to_joule
 
@@ -244,23 +246,56 @@ class TestEvolve:
             evolve(init, sched, const_env(0.0, 1e6), t_end=-1.0)
 
 
-class TestRamps:
-    @given(st.integers(0, 2**32 - 1), st.floats(-1e-3, 1e-3),
-           st.floats(1e-6, 1e-3))
-    def test_scalar_pchip_matches_scipy_bitwise(self, seed, lo, span):
-        rng = np.random.default_rng(seed)
-        x = np.linspace(lo, lo + span, dynamics.RAMP_SAMPLES)
-        # a rising rate and a rough one, as a ramp of junction rates gives
-        y = np.column_stack([np.cumsum(rng.exponential(1e6, x.size)),
-                             np.exp(rng.normal(15.0, 3.0, x.size))])
-        at = dynamics._scalar_pchip(x, y)
-        v = np.concatenate([rng.uniform(x[0], x[-1], 100), x,
-                            np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
-        got = np.array([at(float(t)) for t in v])
-        want = PchipInterpolator(x, y)(v)
-        np.testing.assert_array_equal(got.view(np.uint64),
-                                      want.view(np.uint64))
+def ode_oracle(init, sched, env, extra_gamma, extra_occupation, t_end,
+               t_eval):
+    """The ladder by DOP853 at ``rtol=1e-13, atol=1e-16`` on evolve's rates.
 
+    Levels are read as they are; ramps through scipy's PCHIP of the same
+    ``RAMP_SAMPLES`` biases, integrated knot to knot.  Each segment is
+    integrated with the bias clamped one ulp inside it, so that it reads
+    its own level.
+    """
+    def total(v):
+        r = env(v)
+        return (r.up + extra_gamma * extra_occupation,
+                r.down + extra_gamma * (1.0 + extra_occupation))
+
+    levels = {v: total(v) for v in (sched.v_off, sched.v_on)}
+    edges = {0.0, t_end, *sched.breakpoints()}
+    if sched.rise_fall > 0 and sched.v_on != sched.v_off:
+        vgrid = np.linspace(min(sched.v_off, sched.v_on),
+                            max(sched.v_off, sched.v_on),
+                            dynamics.RAMP_SAMPLES)
+        ramp = PchipInterpolator(vgrid, [total(v) for v in vgrid])
+        rise_end = sched.t_start + sched.rise_fall
+        for lo, hi in ((sched.t_start, rise_end),
+                       (rise_end + sched.width, sched.t_end_pulse)):
+            edges.update(np.linspace(lo, hi, dynamics.RAMP_SAMPLES).tolist())
+    seg_edges = sorted(b for b in edges if 0.0 <= b <= t_end)
+
+    def rhs(t, y, lo, hi):
+        v = sched.voltage(min(max(t, lo), hi))
+        up, down = levels[v] if v in levels else ramp(v)
+        return [down - up, up - (down - up) * y[1]]
+
+    t_eval = np.asarray(t_eval, dtype=float)
+    y = np.zeros(2)
+    ys = [np.zeros((2, np.count_nonzero(t_eval == 0.0)))]
+    for a, b in zip(seg_edges[:-1], seg_edges[1:]):
+        sub = t_eval[(t_eval > a) & (t_eval <= b)]
+        ask = sub if len(sub) and sub[-1] == b else np.append(sub, b)
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13,
+                        atol=1e-16, t_eval=ask,
+                        args=(float(np.nextafter(a, b)),
+                              float(np.nextafter(b, a))))
+        assert sol.success, sol.message
+        ys.append(sol.y[:, :len(sub)])
+        y = sol.y[:, -1]
+    log_eta, n = np.hstack(ys)
+    return LadderTrajectory(t_eval, np.exp(-log_eta), n, init)
+
+
+class TestRamps:
     @pytest.mark.parametrize("which", ["bridging", "device"])
     def test_knot_to_knot_matches_tight_tolerances(self, which):
         init, sched, env, ts = reset_sim_setup()
@@ -269,38 +304,75 @@ class TestRamps:
             env = bridging_env
         loose = evolve(init, sched, env, t_end=ts[-1], t_eval=ts)
         tight = evolve(init, sched, env, t_end=ts[-1], t_eval=ts,
-                       rtol=1e-13, atol=1e-16)
+                       rtol=1e-13)
         np.testing.assert_array_equal(loose.times, tight.times)
         np.testing.assert_allclose(loose.probs, tight.probs, rtol=0,
                                    atol=1e-9)
 
-    # a square pulse has three segments; each ramp adds RAMP_SAMPLES - 1
-    @pytest.mark.parametrize("rise_fall, segments", [
-        (0.0, 3), (8e-9, 3 + 2 * (dynamics.RAMP_SAMPLES - 1))])
-    def test_one_solve_per_segment(self, monkeypatch, rise_fall, segments):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return solve(*args, **kwargs)
-
-        solve = dynamics.solve_ivp
-        monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    @pytest.mark.parametrize("rise_fall", [0.0, 8e-9])
+    def test_samples_match_a_run_sampling_every_segment_end(self, rise_fall):
         init = LadderState.coherent(1.0, n_cut=20)
         sched = PulseSchedule(v_on=1.0, width=20e-9, rise_fall=rise_fall,
                               t_start=4e-9)
         # no sample falls on a segment end
         ts = [3e-9, 17e-9, 45e-9]
         traj = evolve(init, sched, bridging_env, t_end=50e-9, t_eval=ts)
-        assert len(calls) == segments
-        assert [a for a, _ in calls[1:]] == [b for _, b in calls[:-1]]
         assert traj.times.tolist() == ts
         # each segment starts from where the last one ended: the same
         # samples agree with a run that also samples every segment end
-        ends = sorted({*ts, *(b for _, b in calls)})
-        ref = evolve(init, sched, bridging_env, t_end=50e-9, t_eval=ends)
+        ends = {*ts, *sched.breakpoints(), 50e-9}
+        if rise_fall:
+            rise_end = sched.t_start + rise_fall
+            for lo, hi in ((sched.t_start, rise_end),
+                           (rise_end + sched.width, sched.t_end_pulse)):
+                ends.update(np.linspace(lo, hi, dynamics.RAMP_SAMPLES))
+        ref = evolve(init, sched, bridging_env, t_end=50e-9,
+                     t_eval=sorted(ends))
         np.testing.assert_allclose(
             traj.probs, ref.probs[np.isin(ref.times, ts)], rtol=0, atol=1e-12)
+
+    @given(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(0.0, 10e-9),
+           st.floats(0.5e-9, 10e-9), st.floats(0.0, 30e-9),
+           st.floats(0.2, 1.2), st.floats(1e3, 1e6), st.floats(1e6, 1e8),
+           st.floats(0.0, 4.0), st.floats(0.0, 1e7), st.floats(0.0, 1.0),
+           st.floats(0.1, 2.0))
+    def test_matches_dop853_on_the_same_rates(self, v_on, v_off, t_start,
+                                              rise_fall, width, reach, up0,
+                                              down0, curve, extra_gamma,
+                                              extra_occ, mean):
+        assume(abs(v_on - v_off) > 1e-3)
+
+        def env(v):  # smooth in the bias, as junction rates are
+            return RatePair(up=up0 * math.exp(0.5 * v),
+                            down=down0 * (1.0 + curve * v * v))
+
+        sched = PulseSchedule(v_on=v_on, width=width, rise_fall=rise_fall,
+                              t_start=t_start, v_off=v_off)
+        # t_end may fall anywhere, a ramp included
+        t_end = reach * (sched.t_end_pulse + 5e-9)
+        ts = np.linspace(0.0, t_end, 41)
+        init = LadderState.coherent(mean, n_cut=30)
+        got = evolve(init, sched, env, extra_gamma, extra_occ, t_end=t_end,
+                     t_eval=ts)
+        want = ode_oracle(init, sched, env, extra_gamma, extra_occ, t_end, ts)
+        np.testing.assert_allclose(got.mean_n, want.mean_n, rtol=1e-11,
+                                   atol=0)
+        np.testing.assert_allclose(got.ground_pop, want.ground_pop, rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("v_on", [1.0, -0.5])
+    def test_bias_independent_ramp_is_the_constant_closed_form(self, v_on):
+        up, down = 3e5, 4e7
+        init = LadderState.coherent(1.0, n_cut=25)
+        sched = PulseSchedule(v_on=v_on, width=20e-9, rise_fall=8e-9,
+                              t_start=4e-9)
+        traj = evolve(init, sched, const_env(up, down), t_end=50e-9)
+        net = down - up
+        t = traj.times
+        np.testing.assert_allclose(traj.eta, np.exp(-net * t), rtol=1e-13,
+                                   atol=0)
+        np.testing.assert_allclose(traj.n, -up * np.expm1(-net * t) / net,
+                                   rtol=1e-13, atol=0)
 
 
 class TestExtraction:

@@ -18,7 +18,8 @@ from qcrlab import (DeviceConfig, DriveState, JunctionParams, ModeParams,
                     on_off_ratio, optimal_bias, rf_transition_rates,
                     steady_p1, tabulate_spectrum, transition_rates)
 from qcrlab.errors import (GridError, NonpositiveTemperatureError,
-                           TruncationError, UndefinedSteadyStateError)
+                           QcrlabError, TruncationError,
+                           UndefinedSteadyStateError)
 from qcrlab.units import E_CHARGE, HBAR, K_B, R_K, ghz_to_omega
 
 EPS = 1e-9  # quadrature tolerance for the cheaper checks
@@ -80,6 +81,14 @@ class TestLaguerreOverlaps:
             big = want >= 1e-12 * want.max()
             np.testing.assert_allclose(row[big], want[big], rtol=1e-9)
             assert np.all(row[~big] <= 1e-11 * want.max())
+
+    def test_overflow_raises_naming_rho_and_cut(self):
+        # L_m^(d)(1600) passes the largest double before m = 400, which
+        # made every sideband weight NaN
+        with pytest.raises(QcrlabError,
+                           match=r"rho = 40\.0 .*fock_cut = 400"):
+            spectrum._sideband_weights(DriveState(0, l_max=5, fock_cut=400),
+                                       rho=40.0)
 
     @settings(max_examples=10)
     @given(st.integers(0, 25), st.floats(0.0, 2.0))
