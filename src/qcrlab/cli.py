@@ -7,6 +7,14 @@ fully-resolved parameters.  ``sweep-bias`` and ``source`` compute their
 bias axis in one batched rate call; ``--threads`` spreads only the
 ``rf-sweep``, ``lamb-shift`` and ``thermal`` points over a thread pool.
 
+The schema is checked in this module, by ``_violations``, which
+implements exactly the draft 2020-12 keywords ``schema.json`` uses
+(``_KEYWORDS``), and names the violation the reference Python validator's
+``best_match`` picks; importing the CLI loads numpy but no schema library.
+A config's integral floats in ``integer`` fields reach the builders as
+ints; ``NaN``, ``Infinity``, ``-Infinity`` and float literals beyond the
+double range, such as ``1e999``, are rejected.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric error.
 Set ``QCRLAB_LOG`` (DEBUG/INFO/WARNING/ERROR) to control logging.
 """
@@ -15,16 +23,18 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import logging
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from importlib import resources
+from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import __version__, dynamics, ep, lamb, source_calib, spectrum
@@ -91,25 +101,173 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+@functools.cache
 def _schema() -> dict:
     text = resources.files("qcrlab").joinpath("schema.json").read_text()
     return json.loads(text)
 
 
+# the draft 2020-12 keywords _violations implements; additionalProperties
+# only as false.  Annotations ($schema, title, $defs) need no code.
+_KEYWORDS = frozenset({
+    "$schema", "title", "$defs", "$ref", "type", "enum", "const",
+    "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+    "minLength", "required", "properties", "additionalProperties",
+    "allOf", "anyOf", "if", "then"})
+
+_JSON_TYPES = {"object": dict, "string": str, "null": type(None),
+               "number": (int, float), "integer": (int, float)}
+
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le,
+                         "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge,
+                         "is greater than or equal to the maximum of"),
+}
+
+
+class _Violation(NamedTuple):
+    path: tuple
+    keyword: str
+    typed: bool     # the value has the type its schema declares
+    message: str
+
+
+def _types(schema: dict) -> list:
+    types = schema.get("type", [])
+    return [types] if isinstance(types, str) else types
+
+
+def _is_type(value, name: str) -> bool:
+    # a JSON boolean is never a number, and 5.0 is an integer
+    return (isinstance(value, _JSON_TYPES[name])
+            and not isinstance(value, bool)
+            and (name != "integer" or isinstance(value, int)
+                 or value.is_integer()))
+
+
+def _json_equal(a, b) -> bool:
+    # 1 == 1.0 but true != 1; the enum and const members are scalars
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _resolve(ref: str) -> dict:
+    node = _schema()
+    for part in ref.removeprefix("#/").split("/"):
+        node = node[part]
+    return node
+
+
+def _violations(value, schema: dict, path: tuple = ()):
+    """Yield every violation of ``schema`` by ``value``, in the order
+    draft 2020-12 validation visits them."""
+    types = _types(schema)
+    typed = any(_is_type(value, t) for t in types)
+
+    def fail(keyword, message):
+        return _Violation(path, keyword, typed, message)
+
+    for key, arg in schema.items():
+        if key == "$ref":
+            yield from _violations(value, _resolve(arg), path)
+        elif key == "allOf":
+            for sub in arg:
+                yield from _violations(value, sub, path)
+        elif key == "anyOf":
+            if all(any(_violations(value, sub, path)) for sub in arg):
+                yield fail(key, f"{value!r} is not valid under any of the "
+                                "given schemas")
+        elif key == "if":
+            if "then" in schema and not any(_violations(value, arg, path)):
+                yield from _violations(value, schema["then"], path)
+        elif key == "type":
+            if not typed:
+                names = ", ".join(map(repr, types))
+                yield fail(key, f"{value!r} is not of type {names}")
+        elif key == "enum":
+            if not any(_json_equal(value, m) for m in arg):
+                yield fail(key, f"{value!r} is not one of {arg!r}")
+        elif key == "const":
+            if not _json_equal(value, arg):
+                yield fail(key, f"{arg!r} was expected")
+        elif key in _BOUNDS:
+            beyond, text = _BOUNDS[key]
+            if _is_type(value, "number") and beyond(value, arg):
+                yield fail(key, f"{value!r} {text} {arg!r}")
+        elif key == "minLength":
+            if isinstance(value, str) and len(value) < arg:
+                short = "should be non-empty" if arg == 1 else "is too short"
+                yield fail(key, f"{value!r} {short}")
+        elif not isinstance(value, dict):
+            continue    # the keywords below apply to objects only
+        elif key == "required":
+            for name in arg:
+                if name not in value:
+                    yield fail(key, f"{name!r} is a required property")
+        elif key == "properties":
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _violations(value[name], sub, path + (name,))
+        elif key == "additionalProperties":
+            extra = sorted(k for k in value
+                           if k not in schema.get("properties", {}))
+            if extra:
+                verb = "was" if len(extra) == 1 else "were"
+                yield fail(key, "Additional properties are not allowed "
+                                f"({', '.join(map(repr, extra))} {verb} "
+                                "unexpected)")
+
+
+def _relevance(v: _Violation) -> tuple:
+    # the reference validator's best_match order: shallow, then later
+    # sibling, then anything but anyOf, then a value of the wrong type
+    return (-len(v.path), v.path, v.keyword != "anyOf", not v.typed)
+
+
 def _validate(cfg: dict) -> None:
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        where = best.json_path if best.json_path != "$" else "config root"
-        raise ConfigError(f"invalid config at {where}: {best.message}")
+    # best_match names a violation inside a failed anyOf when it outranks
+    # its siblings; schema.json's one anyOf fails only on root `required`,
+    # alike in both branches, so the anyOf is named itself
+    best = max(_violations(cfg, _schema()), key=_relevance, default=None)
+    if best is None:
+        return
+    where = "".join("." + part for part in best.path)
+    where = "$" + where if where else "config root"
+    raise ConfigError(f"invalid config at {where}: {best.message}")
+
+
+def _canonical(value, schema: dict):
+    """``value`` with an integral float under ``integer`` as an int and
+    an enum member as the schema spells it (``2.0`` becomes ``2``)."""
+    if "$ref" in schema:
+        schema = _resolve(schema["$ref"])
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {k: _canonical(v, props.get(k, {})) for k, v in value.items()}
+    if isinstance(value, float) and "integer" in _types(schema):
+        return int(value)
+    return next((m for m in schema.get("enum", ()) if _json_equal(value, m)),
+                value)
+
+
+def _finite_float(text: str) -> float:
+    # json reads NaN, Infinity and -Infinity, and 1e999 as inf, but every
+    # bound comparison with NaN is false
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds {text}, which is not a finite "
+                          "number")
+    return value
 
 
 def load_and_validate(path: str) -> dict:
     """Parse, validate, and default-fill a run configuration."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_float,
+                            parse_constant=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -122,7 +280,7 @@ def load_and_validate(path: str) -> dict:
         resolved["synthesize"] = _merge(_SYNTH_DEFAULTS,
                                         resolved["synthesize"])
     _validate(resolved)
-    return resolved
+    return _canonical(resolved, _schema())
 
 
 # ---------------------------------------------------------------- builders

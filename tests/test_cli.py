@@ -39,6 +39,47 @@ def fast_sweep_cfg(tmp_path, **grid):
     return dump_cfg(tmp_path, cfg)
 
 
+# shipped configs cut down to runs of a fraction of a second
+SMALL_RUNS = {
+    "sweep_bias.json": {"epsrel": 1e-9,
+                        "grid": {"start": 0.0, "stop": 1.4, "points": 5}},
+    "lamb_shift.json": {"grid": {"start": 0.9, "stop": 0.9, "points": 1},
+                        "spectrum": {"points": 301, "epsrel": 1e-6}},
+    "ep_map.json": {"flux": {"start": 0.0, "stop": 0.49, "points": 3},
+                    "probe": {"f_start_ghz": 5.18, "f_stop_ghz": 5.27,
+                              "points": 3}},
+    "thermal.json": {"grid": {"start": 0.05, "stop": 0.2, "points": 3}},
+    "rf_sweep.json": {"epsrel": 1e-9, "drive": {"fock_cut": 120},
+                      "grid": {"start": 0.0, "stop": 50.0, "points": 2}},
+    "source.json": {"grid": {"start": 0.05, "stop": 5.0, "points": 5}},
+    "calibrate.json": {},
+    "reset_sim.json": {"grid": {"start": 0.0, "stop": 80.0, "points": 9}},
+}
+
+
+def small_config(name):
+    cfg = load_example(name)
+    for block, val in SMALL_RUNS[name].items():
+        cfg[block] = {**cfg[block], **val} if isinstance(val, dict) else val
+    cfg.pop("out")
+    return cfg
+
+
+# (config, block, key, int value) for each integer-valued field of the
+# schema: `integer` types and the enum of `junctions`
+INTEGER_FIELDS = [
+    ("sweep_bias.json", "grid", "points", 5),
+    ("sweep_bias.json", "device", "junctions", 1),
+    ("ep_map.json", "flux", "points", 3),
+    ("ep_map.json", "probe", "points", 4),
+    ("rf_sweep.json", "drive", "l_max", 3),
+    ("rf_sweep.json", "drive", "fock_cut", 120),
+    ("lamb_shift.json", "spectrum", "points", 301),
+    ("reset_sim.json", "ladder", "n_cut", 30),
+    ("calibrate.json", "synthesize", "points", 20),
+]
+
+
 class TestConfigHandling:
     def test_examples_all_validate(self):
         names = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
@@ -123,6 +164,48 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"config error: invalid config at $.{block}.{key}:" in err
         assert not out.exists()
+
+    # draft 2020-12 counts 5.0 as an integer; the builders must get 5
+    @pytest.mark.parametrize("name, block, key, value", INTEGER_FIELDS)
+    def test_integral_float_runs_like_its_int(self, tmp_path, monkeypatch,
+                                              name, block, key, value):
+        outputs = []
+        for number in (value, float(value)):
+            cfg = small_config(name)
+            cfg.setdefault(block, {})[key] = number
+            run_dir = tmp_path / type(number).__name__
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            assert main(["--config", dump_cfg(run_dir, cfg),
+                         "--out", "x.csv"]) == 0
+            outputs.append([(run_dir / f).read_bytes()
+                            for f in ("x.csv", "x.csv.meta.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_integer_fields_are_all_covered(self):
+        schema = cli._schema()
+        covered = {(schema["properties"][block]["$ref"].split("/")[-1], key)
+                   for _, block, key, _ in INTEGER_FIELDS}
+        assert covered >= {
+            (name, key) for name, sub in schema["$defs"].items()
+            for key, prop in sub.get("properties", {}).items()
+            if prop.get("type") == "integer" or "enum" in prop
+            and all(isinstance(m, int) for m in prop["enum"])}
+
+    @pytest.mark.parametrize("literal",
+                             ["NaN", "Infinity", "-Infinity", "-1e999"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys,
+                                                 literal):
+        cfg = load_example("ep_map.json")
+        cfg["two_mode"]["g_mhz"] = "G_MHZ"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"G_MHZ"', literal))
+        out = tmp_path / "never.csv"
+        code = main(["--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert f"config error: config holds {literal}, which is not a " \
+            in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestSweepRuns:
@@ -571,7 +654,8 @@ class TestLoggingEnv:
 
 class TestStartup:
     def test_cli_import_defers_scipy_submodules(self, tmp_path):
-        # a fresh interpreter: this process has long imported everything
+        # a fresh interpreter: this process has long imported everything.
+        # None of these commands may load scipy or jsonschema.
         src = str(Path(qcrlab.__file__).resolve().parent.parent)
         path = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -583,39 +667,16 @@ class TestStartup:
                           "--out", out]
             return out
 
-        cfg = json.loads(Path(fast_sweep_cfg(tmp_path, points=5)).read_text())
-        add("sweep-bias", cfg)
-        cfg = load_example("lamb_shift.json")
-        cfg["spectrum"] = {"points": 301, "lo_factor": 0.02,
-                           "hi_factor": 50.0, "epsrel": 1e-6}
-        cfg["grid"] = {"start": 0.9, "stop": 0.9, "points": 1}
-        lamb = add("lamb-shift", cfg)
-        add("diff-lamb", {"command": "diff-lamb", "csv_a": lamb,
-                          "csv_b": lamb})
-        cfg = load_example("ep_map.json")
-        cfg["flux"] = {"start": 0.0, "stop": 0.49, "points": 3}
-        cfg["probe"] = {"f_start_ghz": 5.18, "f_stop_ghz": 5.27, "points": 3}
-        add("ep-map", cfg)
-        cfg = load_example("thermal.json")
-        cfg["grid"] = {"start": 0.05, "stop": 0.2, "points": 3}
-        add("thermal", cfg)
-        cfg = load_example("rf_sweep.json")
-        cfg["epsrel"] = 1e-9
-        cfg["drive"]["fock_cut"] = 120
-        cfg["grid"] = {"start": 0.0, "stop": 50.0, "points": 2}
-        add("rf-sweep", cfg)
-        cfg = load_example("source.json")
-        cfg["grid"] = {"start": 0.05, "stop": 5.0, "points": 5}
-        add("source", cfg)
-        add("calibrate", load_example("calibrate.json"))
-        cfg = load_example("reset_sim.json")
-        cfg["grid"] = {"start": 0.0, "stop": 80.0, "points": 9}
-        add("reset-sim", cfg)
+        outs = {cfg["command"]: add(cfg["command"], cfg)
+                for cfg in map(small_config, SMALL_RUNS)}
+        add("diff-lamb", {"command": "diff-lamb",
+                          "csv_a": outs["lamb-shift"],
+                          "csv_b": outs["lamb-shift"]})
         probe = (
             "import json, sys\n"
             "def loaded():\n"
-            "    return sorted(m for m in sys.modules\n"
-            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0]\n"
+            "                  in ('scipy', 'jsonschema'))\n"
             "import qcrlab\n"
             "report = {'qcrlab': loaded()}\n"
             "import qcrlab.cli, qcrlab.dynamics\n"
