@@ -3,17 +3,20 @@
 Every run takes ``--config <file.json>`` validated against the schema
 shipped with the package, computes all sweep points, and only then
 writes the output table plus a ``<out>.meta.json`` sidecar holding the
-fully-resolved parameters.  ``sweep-bias`` and ``source`` compute their
-bias axis in one batched rate call; ``--threads`` spreads only the
-``rf-sweep``, ``lamb-shift`` and ``thermal`` points over a thread pool.
+fully-resolved parameters.  Each command is a function of its config
+alone: ``sweep-bias`` and ``source`` compute their bias axis, and
+``rf-sweep`` its drive axis, in one batched rate call.  ``--threads`` is
+accepted and recorded in the sidecar but has no effect; ``--seed`` seeds
+only ``calibrate``'s synthetic noise.
 
 The schema is checked in this module, by ``_violations``, which
 implements exactly the draft 2020-12 keywords ``schema.json`` uses
 (``_KEYWORDS``), and names the violation the reference Python validator's
 ``best_match`` picks; importing the CLI loads numpy but no schema library.
 A config's integral floats in ``integer`` fields reach the builders as
-ints; ``NaN``, ``Infinity``, ``-Infinity`` and float literals beyond the
-double range, such as ``1e999``, are rejected.
+ints, and integer literals beyond int64 are read as floats; ``NaN``,
+``Infinity``, ``-Infinity`` and number literals beyond the double range,
+such as ``1e999``, are rejected.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error.
 Set ``QCRLAB_LOG`` (DEBUG/INFO/WARNING/ERROR) to control logging.
@@ -30,8 +33,6 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from importlib import resources
 from typing import NamedTuple
 
@@ -262,11 +263,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _config_int(text: str) -> int | float:
+    # numpy makes object arrays of ints beyond int64, which its ufuncs
+    # refuse; read those as floats.  int64 takes at most 20 characters.
+    if len(text) <= 20 and -2**63 <= (value := int(text)) < 2**63:
+        return value
+    return _finite_float(text)
+
+
 def load_and_validate(path: str) -> dict:
     """Parse, validate, and default-fill a run configuration."""
     try:
         with open(path) as fh:
             cfg = json.load(fh, parse_float=_finite_float,
+                            parse_int=_config_int,
                             parse_constant=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -303,9 +313,8 @@ def _build_mode(blk: dict) -> ModeParams:
                       rho=blk.get("rho"))
 
 
-def _build_drive(blk: dict) -> DriveState:
-    return DriveState(mean_n=blk["mean_n"],
-                      distribution=blk["distribution"],
+def _build_drive(blk: dict, mean_n) -> DriveState:
+    return DriveState(mean_n=mean_n, distribution=blk["distribution"],
                       l_max=blk["l_max"], fock_cut=blk["fock_cut"])
 
 
@@ -321,30 +330,27 @@ def _bias_scale(j: JunctionParams) -> float:
     return 2.0 * j.delta / E_CHARGE
 
 
-def _pmap(fn, xs, threads: int) -> list:
-    if threads <= 1:
-        return [fn(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, xs))
-
-
-def _guarded_p1(rates) -> float:
+def _guarded(fn, *args) -> float:
     try:
-        return spectrum.steady_p1(rates)
+        return fn(*args)
     except QcrlabError:
         return math.nan
 
 
-def _guarded_teff(rates, omega: float) -> float:
-    try:
-        return spectrum.effective_temperature(rates, omega)
-    except QcrlabError:
-        return math.nan
+def _rate_table(axis: str, xs, r: spectrum.RatePair,
+                omega: float) -> tuple[list, list]:
+    """Columns and rows ``[x, up, down, p1, t_eff]`` over the axis ``xs``."""
+    pairs = map(spectrum.RatePair, r.up.tolist(), r.down.tolist())
+    rows = [[x, *rx, _guarded(spectrum.steady_p1, rx),
+             _guarded(spectrum.effective_temperature, rx, omega)]
+            for x, rx in zip(xs, pairs)]
+    return [axis, "gamma_up (1/s)", "gamma_down (1/s)", "p1 (1)",
+            "t_eff (K)"], rows
 
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_sweep_bias(cfg: dict, threads: int, rng) -> tuple:
+def _cmd_sweep_bias(cfg: dict) -> tuple:
     j = _build_junction(cfg["junction"])
     dev = _build_device(cfg["device"])
     mode = _build_mode(cfg["mode"])
@@ -352,37 +358,25 @@ def _cmd_sweep_bias(cfg: dict, threads: int, rng) -> tuple:
     xs = _grid_axis(cfg["grid"])
     r = spectrum.transition_rates(xs * scale, mode, j, dev,
                                   epsrel=cfg["epsrel"])
-    pairs = map(spectrum.RatePair, r.up.tolist(), r.down.tolist())
-    rows = [[x, *rx, _guarded_p1(rx), _guarded_teff(rx, mode.omega)]
-            for x, rx in zip(xs, pairs)]
-    cols = ["bias (eV/2Delta)", "gamma_up (1/s)", "gamma_down (1/s)",
-            "p1 (1)", "t_eff (K)"]
-    return cols, rows, {"bias_scale_v": scale}
+    return (*_rate_table("bias (eV/2Delta)", xs, r, mode.omega),
+            {"bias_scale_v": scale})
 
 
-def _cmd_rf_sweep(cfg: dict, threads: int, rng) -> tuple:
+def _cmd_rf_sweep(cfg: dict) -> tuple:
     j = _build_junction(cfg["junction"])
     dev = _build_device(cfg["device"])
     mode = _build_mode(cfg["mode"])
     smode = _build_mode(cfg["support_mode"])
-    drive = _build_drive(cfg["drive"])
     v = cfg["bias"] * _bias_scale(j)
-    eps = cfg["epsrel"]
-
-    def point(n: float) -> list[float]:
-        r = spectrum.rf_transition_rates(v, mode, smode,
-                                         replace(drive, mean_n=n), j, dev,
-                                         epsrel=eps)
-        return [n, r.up, r.down, _guarded_p1(r),
-                _guarded_teff(r, mode.omega)]
-
-    rows = _pmap(point, _grid_axis(cfg["grid"]), threads)
-    cols = ["drive_mean_n (1)", "gamma_up (1/s)", "gamma_down (1/s)",
-            "p1 (1)", "t_eff (K)"]
-    return cols, rows, {"bias_v": v, "rho_support": smode.rho_eff}
+    ns = _grid_axis(cfg["grid"])
+    r = spectrum.rf_transition_rates(v, mode, smode,
+                                     _build_drive(cfg["drive"], ns), j, dev,
+                                     epsrel=cfg["epsrel"])
+    return (*_rate_table("drive_mean_n (1)", ns, r, mode.omega),
+            {"bias_v": v, "rho_support": smode.rho_eff})
 
 
-def _cmd_lamb_shift(cfg: dict, threads: int, rng) -> tuple:
+def _cmd_lamb_shift(cfg: dict) -> tuple:
     j = _build_junction(cfg["junction"])
     dev = _build_device(cfg["device"])
     mode = _build_mode(cfg["mode"])
@@ -398,7 +392,7 @@ def _cmd_lamb_shift(cfg: dict, threads: int, rng) -> tuple:
         res = lamb.lamb_shift(dens, mode.omega)
         return [x, res.shift / _TWO_PI]
 
-    rows = _pmap(point, _grid_axis(cfg["grid"]), threads)
+    rows = [point(x) for x in _grid_axis(cfg["grid"])]
     cols = ["bias (eV/2Delta)", "lamb_shift (Hz)"]
     meta: dict = {"bias_scale_v": scale,
                   "spectrum_grid_rad_s": [float(wgrid[0]), float(wgrid[-1])]}
@@ -410,7 +404,7 @@ def _cmd_lamb_shift(cfg: dict, threads: int, rng) -> tuple:
     return cols, rows, meta
 
 
-def _cmd_reset_sim(cfg: dict, threads: int, rng) -> tuple:
+def _cmd_reset_sim(cfg: dict) -> tuple:
     j = _build_junction(cfg["junction"])
     dev = _build_device(cfg["device"])
     mode = _build_mode(cfg["mode"])
@@ -464,7 +458,7 @@ def _cmd_reset_sim(cfg: dict, threads: int, rng) -> tuple:
     return cols, rows, meta
 
 
-def _cmd_ep_map(cfg: dict, threads: int, rng) -> tuple:
+def _cmd_ep_map(cfg: dict) -> tuple:
     tm = cfg["two_mode"]
     kappa1 = _TWO_PI * 1e6 * tm["kappa1_mhz"]
     p = ep.TwoModeParams(omega1=ghz_to_omega(tm["f1_ghz"]),
@@ -496,7 +490,7 @@ def _cmd_ep_map(cfg: dict, threads: int, rng) -> tuple:
     return cols, rows, meta
 
 
-def _cmd_source(cfg: dict, threads: int, rng) -> tuple:
+def _cmd_source(cfg: dict) -> tuple:
     j = _build_junction(cfg["junction"])
     dev = _build_device(cfg["device"])
     mode = _build_mode(cfg["mode"])
@@ -523,7 +517,7 @@ def _cmd_source(cfg: dict, threads: int, rng) -> tuple:
     return cols, rows, {"bias_scale_v": scale}
 
 
-def _cmd_thermal(cfg: dict, threads: int, rng) -> tuple:
+def _cmd_thermal(cfg: dict) -> tuple:
     blk = cfg["thermal"]
     net = thermal_mod.ThermalNetwork(t0=blk["t0_k"],
                                      p_const=blk["p_const_w"],
@@ -535,12 +529,12 @@ def _cmd_thermal(cfg: dict, threads: int, rng) -> tuple:
         ta = thermal_mod.steady_state(net, tb)
         return [tb, ta, thermal_mod.g_quantum(ta)]
 
-    rows = _pmap(point, _grid_axis(cfg["grid"]), threads)
+    rows = [point(tb) for tb in _grid_axis(cfg["grid"])]
     cols = ["t_b (K)", "t_a (K)", "g_quantum (W/K)"]
     return cols, rows, {"a_coefficient": thermal_mod.a_coefficient(net)}
 
 
-def _cmd_diff_lamb(cfg: dict, threads: int, rng) -> tuple:
+def _cmd_diff_lamb(cfg: dict) -> tuple:
     ta = read_table(cfg["csv_a"])
     tb = read_table(cfg["csv_b"])
     if ta.data.shape != tb.data.shape \
@@ -552,7 +546,7 @@ def _cmd_diff_lamb(cfg: dict, threads: int, rng) -> tuple:
     return cols, rows, {"minuend": cfg["csv_a"], "subtrahend": cfg["csv_b"]}
 
 
-def _run_calibrate(cfg: dict, out: str, threads: int, rng) -> dict:
+def _run_calibrate(cfg: dict, out: str, seed: int) -> dict:
     cal = cfg["calibration"]
     cp = source_calib.CalibrationParams(
         gamma_tr=cal["gamma_tr_per_s"],
@@ -576,6 +570,7 @@ def _run_calibrate(cfg: dict, out: str, threads: int, rng) -> dict:
                           for v in volts]) + noise_floor
         p_zero = noise_floor
         if syn["noise_sigma_w"] > 0:
+            rng = np.random.default_rng(seed)
             p_out = p_out + rng.normal(0.0, syn["noise_sigma_w"],
                                        size=len(volts))
             p_zero = p_zero + float(rng.normal(0.0, syn["noise_sigma_w"]))
@@ -628,13 +623,12 @@ def _setup_logging() -> None:
 
 def run(cfg: dict, out: str, threads: int, seed: int) -> None:
     """Execute a validated, default-filled configuration."""
-    rng = np.random.default_rng(seed)
     command = cfg["command"]
     log.info("running %s -> %s", command, out)
     if command == "calibrate":
-        extra = _run_calibrate(cfg, out, threads, rng)
+        extra = _run_calibrate(cfg, out, seed)
     else:
-        cols, rows, extra = _COMMANDS[command](cfg, threads, rng)
+        cols, rows, extra = _COMMANDS[command](cfg)
         write_table(out, cols, rows, comments=[f"qcrlab {command}"])
     sidecar = {
         "command": command,
@@ -658,7 +652,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", help="output path (overrides config)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="sweep-point worker threads")
+                        help="accepted and recorded in the sidecar; "
+                             "has no effect")
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for noise synthesis")
     args = parser.parse_args(argv)

@@ -72,9 +72,9 @@ class DriveState:
     """Photon statistics of the supporting mode.
 
     ``distribution`` selects Poisson ("coherent") or geometric
-    ("thermal") occupation probabilities of mean ``mean_n``.  ``l_max``
-    bounds the net photon number exchanged per tunnelling event and
-    ``fock_cut`` truncates the initial-state sum.
+    ("thermal") occupation probabilities of mean ``mean_n``, a float or an
+    array.  ``l_max`` bounds the net photon number exchanged per
+    tunnelling event and ``fock_cut`` truncates the initial-state sum.
     """
 
     mean_n: float
@@ -83,7 +83,7 @@ class DriveState:
     fock_cut: int = 40
 
     def __post_init__(self):
-        if self.mean_n < 0:
+        if np.any(np.asarray(self.mean_n) < 0):
             raise ValueError("mean photon number must be nonnegative")
         if self.distribution not in ("coherent", "thermal"):
             raise ValueError("distribution must be 'coherent' or 'thermal'")
@@ -141,20 +141,24 @@ def log_factorial(k) -> np.ndarray:
     return np.array([math.lgamma(x + 1.0) for x in k.flat]).reshape(k.shape)
 
 
-def fock_distribution(ks, mean_n: float,
+def fock_distribution(ks, mean_n,
                       distribution: Literal["coherent", "thermal"]):
     """Poisson ("coherent") or geometric ("thermal") Fock probabilities.
 
     Evaluated at the nonnegative indices ``ks`` for mean ``mean_n``, in
-    the log domain; ``mean_n = 0`` is the vacuum.
+    the log domain; ``mean_n = 0`` is the vacuum.  An array ``mean_n``
+    gives one row per entry, equal to the call with that entry alone.
     """
     ks = np.asarray(ks)
-    n = mean_n
-    if n == 0.0:
-        return (ks == 0).astype(float)
+    n = np.asarray(mean_n, dtype=float)
+    n = n.reshape(n.shape + (1,) * ks.ndim)
+    # math.log per entry, as a float mean_n takes it; the vacuum is set below
+    log = np.vectorize(lambda x: math.log(x) if x > 0 else 0.0, otypes=[float])
     if distribution == "coherent":
-        return np.exp(ks * math.log(n) - n - log_factorial(ks))
-    return np.exp(ks * math.log(n / (1.0 + n)) - math.log(1.0 + n))
+        logp = ks * log(n) - n - log_factorial(ks)
+    else:
+        logp = ks * log(n / (1.0 + n)) - log(1.0 + n)
+    return np.where(n == 0.0, ks == 0, np.exp(logp))
 
 
 def occupation_prob(k: int, d: DriveState) -> float:
@@ -232,53 +236,55 @@ def _sideband_overlaps(rho: float, fock_cut: int,
     """
     table = _overlap_sq(fock_cut, np.arange(l_max + 1), rho)
     table.flags.writeable = False
-    return tuple((s, table[abs(s), :fock_cut + 1 - max(s, 0)])
+    return tuple((s, table[abs(s), :max(fock_cut + 1 - max(s, 0), 0)])
                  for s in range(-l_max, l_max + 1))
 
 
-def _sideband_weights(d: DriveState, rho: float) -> dict[int, float]:
+def _sideband_weights(d: DriveState, rho: float) -> dict[int, np.ndarray]:
     """Drive-averaged weight of exchanging ``s`` supporting photons.
 
     w(s) = sum_k P_k |<k - s| D(rho) |k>|^2, the transition taking the
     supporting mode from Fock state k to k - s (s photons absorbed by
     the tunnelling electron).  Vacuum therefore carries no s > 0 weight.
+    One weight per entry of ``d.mean_n``, shaped like it.
     """
     pk = fock_distribution(np.arange(d.fock_cut + 1), d.mean_n,
                            d.distribution)
-    mass = float(pk.sum())
-    if mass < 1.0 - 1e-8:
-        raise TruncationError(
-            f"fock_cut={d.fock_cut} keeps only {mass:.10f} of the drive "
-            "distribution; raise the truncation")
-    return {s: float(np.sum(pk[max(s, 0):] * msq))
+    mass = pk.sum(axis=-1)
+    for n, m in zip(np.ravel(d.mean_n).tolist(), np.ravel(mass).tolist()):
+        if m < 1.0 - 1e-8:
+            raise TruncationError(
+                f"fock_cut={d.fock_cut} keeps only {m:.10f} of the drive "
+                f"distribution at mean_n = {n!r}; raise the truncation")
+    return {s: np.sum(pk[..., max(s, 0):] * msq, axis=-1)
             for s, msq in _sideband_overlaps(rho, d.fock_cut, d.l_max)}
 
 
-def _directed_rates(v, hw_p, shifts: dict[int, float], hw_s: float,
+def _directed_rates(v, hw_p, shifts: dict, hw_s: float,
                     mode: ModeParams, j: JunctionParams, dev: DeviceConfig,
                     epsrel: float) -> RatePair:
     """Directed rates of ``mode``: its coupling times weighted sums of F.
 
     The sums run over the tunnelling directions and the sidebands
-    ``shifts``.  Broadcasts over arrays of device bias ``v`` and photon
-    energy ``hw_p``; every energy of the call goes through one batched
-    ``forward_rate``.  A scalar result comes back as floats.
+    ``shifts``.  Broadcasts over arrays of device bias ``v``, photon
+    energy ``hw_p`` and sideband weights; every energy of the call goes
+    through one batched ``forward_rate``.  A scalar result comes back as
+    floats.
     """
     vj, hw_p = np.broadcast_arrays(np.asarray(v, dtype=float) / dev.junctions,
                                    np.asarray(hw_p, dtype=float))
     en = dev.charging_energy
     terms = [(w, tau * E_CHARGE * vj + (s * hw_s - en))
-             for s, w in shifts.items() if w != 0.0 for tau in (1.0, -1.0)]
-    if not terms:
-        return RatePair(0.0, 0.0)
-    base = np.stack([b for _, b in terms])
-    rates = forward_rate(np.stack([base + hw_p, base - hw_p]), j,
-                         epsrel=epsrel)
-    up = 0.0
-    down = 0.0
-    for (w, _), f_down, f_up in zip(terms, rates[0], rates[1]):
-        down = down + w * f_down
-        up = up + w * f_up
+             for s, w in shifts.items() if np.any(w) for tau in (1.0, -1.0)]
+    up = down = np.zeros(np.broadcast_shapes(
+        vj.shape, *map(np.shape, shifts.values())))
+    if terms:
+        base = np.stack([b for _, b in terms])
+        rates = forward_rate(np.stack([base + hw_p, base - hw_p]), j,
+                             epsrel=epsrel)
+        for (w, _), f_down, f_up in zip(terms, rates[0], rates[1]):
+            down = down + w * f_down
+            up = up + w * f_up
     # one identical term per junction of the series array
     pref = dev.junctions * math.pi * mode.alpha**2 * mode.impedance / j.r_t
     if np.ndim(up) == 0:
@@ -323,7 +329,9 @@ def rf_transition_rates(v: float, mode_p: ModeParams, mode_s: ModeParams,
 
     The supporting mode is traced out over its photon statistics; each
     tunnelling event may exchange up to ``d.l_max`` supporting photons
-    with matrix elements of displacement ``mode_s.rho_eff``.
+    with matrix elements of displacement ``mode_s.rho_eff``.  Broadcasts
+    over an array ``d.mean_n`` in one batched ``F(E)`` call, as
+    ``transition_rates`` does over ``v``; a float ``mean_n`` gives floats.
     """
     return _directed_rates(v, HBAR * mode_p.omega,
                            _sideband_weights(d, mode_s.rho_eff),

@@ -1,21 +1,25 @@
-"""The batched bias path against the scalar path, bit for bit.
+"""The batched bias and drive paths against the scalar path, bit for bit.
 
 ``transition_rates`` and ``source_sweep_point`` broadcast over an array
-of device biases with one batched ``F(E)`` call; every entry must equal
-the scalar call at that bias exactly, and a float bias must give floats.
+of device biases, and ``rf_transition_rates`` over an array of drive
+strengths, with one batched ``F(E)`` call; every entry must equal the
+scalar call at that bias or drive exactly, and a float must give floats.
 """
 
 import re
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcrlab import (DeviceConfig, JunctionParams, ModeParams,
-                    PhotonSourceParams, source_sweep_point,
-                    temp_from_occupation, transition_rates)
-from qcrlab.errors import UndefinedSteadyStateError
+from qcrlab import (DeviceConfig, DriveState, JunctionParams, ModeParams,
+                    PhotonSourceParams, junction, rf_transition_rates,
+                    source_sweep_point, temp_from_occupation,
+                    transition_rates)
+from qcrlab.errors import TruncationError, UndefinedSteadyStateError
 from qcrlab.units import E_CHARGE, PLANCK, ghz_to_omega
 
 GAP = PLANCK * 50e9
@@ -89,3 +93,93 @@ def test_source_sweep_point_array_matches_scalar_calls(case, n_tr):
         assert all(type(x) is float for x in values), field
         np.testing.assert_array_equal(bits(getattr(batch, field)),
                                       bits(values), err_msg=field)
+
+
+@st.composite
+def drives(draw):
+    """A drive over several strengths, vacuum included, small truncations;
+    strong thermal drives overflow the cut."""
+    ns = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+                       min_size=1, max_size=5))
+    return DriveState(mean_n=np.array(ns),
+                      distribution=draw(st.sampled_from(["coherent",
+                                                         "thermal"])),
+                      l_max=draw(st.integers(0, 5)),
+                      fock_cut=draw(st.integers(0, 60)))
+
+
+# at rho = 30 every overlap of a small cut underflows, so no sideband
+# carries weight and the rates are zeros of the drive's shape
+@settings(max_examples=60)
+@given(devices_and_biases(), drives(),
+       st.one_of(st.floats(0.0, 1.5), st.just(30.0)))
+def test_rf_transition_rates_drive_array_matches_scalar_calls(case, d, rho):
+    j, dev, vs = case
+    support = ModeParams(omega=2.0 * MODE.omega, impedance=35.0, alpha=0.5,
+                         rho=rho)
+
+    def rates(mean_n):
+        return rf_transition_rates(vs[0], MODE, support,
+                                   replace(d, mean_n=mean_n), j, dev,
+                                   epsrel=EPS)
+
+    with mock.patch.object(junction, "_clenshaw",
+                           wraps=junction._clenshaw) as interpolated:
+        scalar = []
+        for n in d.mean_n.tolist():
+            try:
+                scalar.append(rates(n))
+            except TruncationError:
+                scalar.append(None)
+        if None in scalar:
+            # the batched call names the first drive the cut truncates
+            first = d.mean_n.tolist()[scalar.index(None)]
+            with pytest.raises(TruncationError,
+                               match=re.escape(f"at mean_n = {first!r};")):
+                rates(d.mean_n)
+            return
+        batch = rates(d.mean_n)
+    for r in scalar:
+        assert type(r.up) is float and type(r.down) is float
+    for field in ("up", "down"):
+        values = [getattr(r, field) for r in scalar]
+        if interpolated.called:
+            # the batch can hold more energies than a vacuum entry alone
+            # and so be served by the F(E) interpolant instead
+            np.testing.assert_allclose(getattr(batch, field), values,
+                                       rtol=EPS, err_msg=field)
+        else:
+            np.testing.assert_array_equal(bits(getattr(batch, field)),
+                                          bits(values), err_msg=field)
+
+
+def test_rf_batch_served_by_the_interpolant_agrees_within_epsrel():
+    # 21 sidebands at nonzero bias give the batch 84 energies, enough to
+    # build the F(E) interpolant (50 integrated energies here); the vacuum
+    # entry alone has only the 11 sidebands s <= 0, 44 energies, and
+    # integrates directly
+    j = JunctionParams(delta=GAP, dynes=1e-4, r_t=15e3, temp_n=0.3)
+    dev = DeviceConfig(junctions=1, charging_energy=0.05 * GAP)
+    support = ModeParams(omega=ghz_to_omega(2.0), impedance=35.0, alpha=0.5)
+    d = DriveState(mean_n=np.array([0.0, 1.0, 3.0]), l_max=10, fock_cut=60)
+    v = 0.6 * GAP / E_CHARGE
+
+    def rates(mean_n):
+        return rf_transition_rates(v, MODE, support,
+                                   replace(d, mean_n=mean_n), j, dev,
+                                   epsrel=EPS)
+
+    with mock.patch.object(junction, "_clenshaw",
+                           wraps=junction._clenshaw) as interpolated:
+        batch = rates(d.mean_n)
+        assert interpolated.call_count == 1
+        vacuum = rates(0.0)
+        assert interpolated.call_count == 1
+        driven = [rates(n) for n in d.mean_n.tolist()[1:]]
+    for field in ("up", "down"):
+        np.testing.assert_allclose(getattr(batch, field)[0],
+                                   getattr(vacuum, field), rtol=EPS)
+        # a driven entry has every sideband, so its own call interpolates
+        np.testing.assert_array_equal(
+            bits(getattr(batch, field)[1:]),
+            bits([getattr(r, field) for r in driven]))

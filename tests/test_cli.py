@@ -207,6 +207,34 @@ class TestConfigHandling:
             in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
+    # numpy makes an object array of an int beyond int64, and np.linspace
+    # then raised a casting error (exit 1)
+    def test_int_beyond_int64_runs_like_its_float(self, tmp_path,
+                                                  monkeypatch):
+        outputs = []
+        for literal in (str(10**30), "1e30"):
+            cfg = small_config("sweep_bias.json")
+            cfg["grid"]["stop"] = "STOP"
+            run_dir = tmp_path / literal[-3:]
+            run_dir.mkdir()
+            path = run_dir / "cfg.json"
+            path.write_text(json.dumps(cfg).replace('"STOP"', literal))
+            monkeypatch.chdir(run_dir)
+            assert main(["--config", str(path), "--out", "x.csv"]) == 0
+            outputs.append([(run_dir / f).read_bytes()
+                            for f in ("x.csv", "x.csv.meta.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_int_beyond_double_exits_2(self, tmp_path, capsys):
+        cfg = small_config("sweep_bias.json")
+        cfg["grid"]["stop"] = "STOP"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"STOP"', "1" + "0" * 399))
+        out = tmp_path / "never.csv"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert "config error: config holds 1000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestSweepRuns:
     def test_sweep_bias_outputs_and_determinism(self, tmp_path):
@@ -259,6 +287,13 @@ class TestSweepRuns:
         assert main(["--config", dump_cfg(tmp_path, cfg, "src.json"),
                      "--out", str(tmp_path / "src.csv")]) == 0
         assert len(calls) == 1
+        # the drive axis of rf-sweep too
+        cfg = small_config("rf_sweep.json")
+        cfg["grid"] = {"start": 0.0, "stop": 50.0, "points": 4}
+        calls.clear()
+        assert main(["--config", dump_cfg(tmp_path, cfg, "rf.json"),
+                     "--out", str(tmp_path / "rf.csv")]) == 0
+        assert len(calls) == 1
 
     def test_thread_pool_output_identical(self, tmp_path):
         path = fast_sweep_cfg(tmp_path)
@@ -289,8 +324,7 @@ class TestSweepRuns:
 
         def run(threads):
             # start each run with no cached rf overlaps or F(E) interpolant,
-            # so that the worker threads also share caches they fill
-            # themselves
+            # so that every run fills the caches it reads itself
             spectrum._sideband_overlaps.cache_clear()
             junction._published_bases.cache_clear()
             assert main(["--config", path, "--out", str(out),
@@ -390,6 +424,20 @@ class TestSweepRuns:
         code = main(["--config", dump_cfg(tmp_path, cfg), "--out", str(out)])
         assert code == 3
         assert "fock_cut = 400" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rf_sweep_truncated_drive_exits_3_naming_mean_n(self, tmp_path,
+                                                            capsys):
+        # Poisson(50) puts about 1e-5 above n = 80, Poisson(25) far less
+        cfg = load_example("rf_sweep.json")
+        cfg["drive"]["fock_cut"] = 80
+        cfg["grid"] = {"start": 0.0, "stop": 50.0, "points": 3}
+        out = tmp_path / "rf.csv"
+        code = main(["--config", dump_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numeric error: fock_cut=80 keeps only" in err
+        assert "at mean_n = 50.0;" in err
         assert not out.exists()
 
     def test_rf_sweep_drive_activates_rates(self, tmp_path):
@@ -655,7 +703,8 @@ class TestLoggingEnv:
 class TestStartup:
     def test_cli_import_defers_scipy_submodules(self, tmp_path):
         # a fresh interpreter: this process has long imported everything.
-        # None of these commands may load scipy or jsonschema.
+        # None of these commands may load scipy, jsonschema or
+        # concurrent.futures, and only a noisy calibrate numpy.random.
         src = str(Path(qcrlab.__file__).resolve().parent.parent)
         path = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -672,11 +721,17 @@ class TestStartup:
         add("diff-lamb", {"command": "diff-lamb",
                           "csv_a": outs["lamb-shift"],
                           "csv_b": outs["lamb-shift"]})
+        quiet = small_config("calibrate.json")
+        quiet["synthesize"]["noise_sigma_w"] = 0.0
+        add("calibrate-noiseless", quiet)
+        # last, since the modules it loads stay loaded
+        runs["calibrate"] = runs.pop("calibrate")
         probe = (
             "import json, sys\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m.partition('.')[0]\n"
-            "                  in ('scipy', 'jsonschema'))\n"
+            "                  in ('scipy', 'jsonschema') or m.startswith(\n"
+            "                      ('concurrent.futures', 'numpy.random')))\n"
             "import qcrlab\n"
             "report = {'qcrlab': loaded()}\n"
             "import qcrlab.cli, qcrlab.dynamics\n"
@@ -689,9 +744,13 @@ class TestStartup:
         res = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
                              check=True, capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path})
-        assert json.loads(res.stdout) == {
+        report = json.loads(res.stdout)
+        code, modules = report.pop("calibrate")
+        assert code == 0 and modules
+        assert all(m.startswith("numpy.random") for m in modules)
+        assert report == {
             "qcrlab": [], "qcrlab.cli": [], "solve_ivp": True,
-            **{name: [0, []] for name in runs}}
+            **{name: [0, []] for name in runs if name != "calibrate"}}
 
     def test_bench_trace_hooks_install(self):
         # bench/child.py --trace wraps module attributes by name; a renamed

@@ -90,6 +90,17 @@ class TestLaguerreOverlaps:
             spectrum._sideband_weights(DriveState(0, l_max=5, fock_cut=400),
                                        rho=40.0)
 
+    def test_sidebands_beyond_the_cut_carry_no_weight(self):
+        # s = 3, 4 exceed fock_cut = 2: their overlap slices had negative
+        # ends, and the weights raised a broadcasting ValueError
+        x = 0.3 ** 2
+        w = spectrum._sideband_weights(DriveState(0.0, l_max=4, fock_cut=2),
+                                       rho=0.3)
+        assert [w[s] for s in range(1, 5)] == [0.0] * 4
+        for s in range(-4, 1):
+            assert w[s] == pytest.approx(
+                math.exp(-x) * x ** -s / math.factorial(-s), rel=1e-13)
+
     @settings(max_examples=10)
     @given(st.integers(0, 25), st.floats(0.0, 2.0))
     def test_rows_and_columns_sum_to_one(self, k, rho):
