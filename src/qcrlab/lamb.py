@@ -10,14 +10,16 @@ shifts by
 
 The three terms combine to gamma(w) * 2 w_r^2 / (w (w^2 - w_r^2)), so a
 strictly Ohmic spectrum gamma = c*w pulls nothing, and only deviations
-from linearity shift the mode.
+from linearity shift the mode.  The principal value is taken by residue
+subtraction: the pole term at w_r has a closed form, and the regular
+remainder is one quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,64 +31,56 @@ from .spectrum import SpectralDensity
 
 @dataclass(frozen=True)
 class LambResult:
+    """Frequency pull ``shift`` (rad/s) and its quadrature error estimate.
+
+    ``abs_err`` covers the principal-value quadrature of the interpolated
+    table only.  It excludes the error of the PCHIP interpolant itself,
+    which dominates: at 1201 knots over [w_r/50, 50 w_r] the table error
+    is 4e-10 to 3e-8 of the shift, well above ``abs_err``.
+    """
+
     shift: float
     abs_err: float
 
 
-def pv_integral(f: Callable[[np.ndarray], np.ndarray], pole: float,
+def pv_integral(g: Callable[[np.ndarray], np.ndarray], pole: float,
                 lo: float, hi: float, *, epsrel: float = 1e-11,
-                points: tuple[float, ...] = ()) -> tuple[float, float]:
-    """Cauchy principal value of a simple-pole integrand over [lo, hi].
+                points: Sequence[float] = ()) -> tuple[float, float]:
+    """Cauchy principal value of ``g(w)/(w - pole)`` over [lo, hi].
 
-    Symmetric neighbourhoods of half-width ``eps_k = eps_0 / 2^k`` are
-    excised around the pole, which cancels the odd singular part exactly;
-    the remaining excision bias is linear (then cubic, quintic, ...) in
-    ``eps`` and is removed by Richardson extrapolation over the levels.
+    ``g`` is the regular factor: vectorised, and finite and smooth near
+    the pole.  The pole term ``g(pole)/(w - pole)`` has the principal
+    value ``g(pole)*log((hi - pole)/(pole - lo))``; the regular rest is
+    one batched quadrature with the two sides of the pole as separate
+    problems, since they may cancel (the QUADPACK QAWC idea).
 
-    ``f`` must be vectorised and finite except for the simple pole.
-    ``points`` seeds panel breakpoints away from the pole so that sharp
-    but integrable features (interpolation knots, band edges) cannot slip
-    between quadrature nodes.  Returns the extrapolated value and an
-    error estimate.
+    ``points`` seeds panel breakpoints at sharp but integrable features
+    (knots, band edges); those within ``1e-10*max(|lo|, |hi|)`` of the
+    pole are dropped, as the Kronrod nodes of so thin a panel round onto
+    it.  Returns the value and the quadrature error estimate.
     """
     if not lo < pole < hi:
         raise ValueError("pole must lie strictly inside the interval")
-    levels = 9
-    eps0 = min(1e-2 * abs(pole), 0.45 * (pole - lo), 0.45 * (hi - pole))
-    if not eps0 > 0:
-        raise ValueError("degenerate interval around the pole")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g0 = float(g(np.array([pole]))[0])
+    if not math.isfinite(g0):
+        raise ValueError("g must be finite at the pole: pass the regular "
+                         "factor g, not g/(w - pole)")
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.abs(pts - pole) > 1e-10 * max(abs(lo), abs(hi))]
+    a, b = np.array([lo, pole]), np.array([pole, hi])
+    # each side also integrates |g0| spread evenly over it, removed again
+    # below: where g hardly varies, the remainder alone would ask for a
+    # relative tolerance under the rounding of g(w) - g0, about eps*|g0|
+    lift = abs(g0) / (b - a)
 
-    # outer pieces once, then shrink the excision by cheap annuli
-    pts_lo = [pole - eps0 * 4.0**i for i in range(1, 12)]
-    pts_hi = [pole + eps0 * 4.0**i for i in range(1, 12)]
-    pts_lo += [p for p in points if p < pole - eps0]
-    pts_hi += [p for p in points if p > pole + eps0]
-    left, el = adaptive_quad(f, lo, pole - eps0,
-                             points=[p for p in pts_lo if lo < p],
-                             epsrel=epsrel)
-    right, er = adaptive_quad(f, pole + eps0, hi,
-                              points=[p for p in pts_hi if p < hi],
-                              epsrel=epsrel)
-    quad_err = el + er
-    seq = [left + right]
-    eps = eps0
-    for _ in range(1, levels):
-        half = 0.5 * eps
-        la, ea = adaptive_quad(f, pole - eps, pole - half, epsrel=epsrel)
-        ra, eb = adaptive_quad(f, pole + half, pole + eps, epsrel=epsrel)
-        seq.append(seq[-1] + la + ra)
-        quad_err += ea + eb
-        eps = half
+    def regular(arg: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        w, side = arg
+        return (g(w) - g0) / (w - pole) + lift[side]
 
-    # Richardson table; the excision error expands in odd powers of eps
-    rows = [np.array(seq, dtype=float)]
-    for j in range(1, min(5, levels)):
-        prev = rows[-1]
-        fac = 2.0 ** (2 * j - 1) - 1.0
-        rows.append(prev[1:] + (prev[1:] - prev[:-1]) / fac)
-    value = float(rows[-1][-1])
-    extrap_err = abs(float(rows[-1][-1] - rows[-2][-1]))
-    return value, extrap_err + quad_err
+    val, err = adaptive_quad(regular, a, b, points=pts, epsrel=epsrel)
+    singular = g0 * math.log((hi - pole) / (pole - lo))
+    return float(val.sum()) - 2.0 * abs(g0) + singular, float(err.sum())
 
 
 def _rate_over_omega(s: SpectralDensity) -> Callable[[np.ndarray], np.ndarray]:
@@ -126,15 +120,14 @@ def lamb_shift(s: SpectralDensity, omega_r: float, *,
         raise GridError("spectrum grid must span [omega_r/50, 50*omega_r]")
 
     ratio = _rate_over_omega(s)
-    wr2 = omega_r * omega_r
+    scale = omega_r * omega_r / math.pi
 
-    def integrand(w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        return (wr2 / math.pi) * ratio(w) / ((w - omega_r) * (w + omega_r))
+    def regular(w: np.ndarray) -> np.ndarray:
+        return scale * ratio(w) / (w + omega_r)
 
     top = float(s.grid[-1])
-    val, err = pv_integral(integrand, omega_r, 0.0, top, epsrel=epsrel,
-                           points=tuple(float(w) for w in s.grid[:-1]))
+    val, err = pv_integral(regular, omega_r, 0.0, top, epsrel=epsrel,
+                           points=s.grid[:-1])
     slope_hi = s.values[-1] / top
     tail = (slope_hi * omega_r / (2.0 * math.pi)
             * math.log((top + omega_r) / (top - omega_r)))

@@ -115,16 +115,18 @@ class SpectralDensity:
         _check_grid(self.grid)
         if self.grid.shape != self.values.shape:
             raise ValueError("values must match the grid's shape")
-        if np.any(self.values < 0):
-            raise ValueError("coupling rates must be nonnegative")
+        if not (np.isfinite(self.values).all() and (self.values >= 0).all()):
+            raise ValueError("coupling rates must be finite and nonnegative")
 
 
 def _check_grid(grid: np.ndarray) -> None:
-    """Raise GridError unless ``grid`` is 1-d, positive, strictly increasing
-    and at least two points long."""
+    """Raise GridError unless ``grid`` is 1-d, finite, positive, strictly
+    increasing and at least two points long."""
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise GridError("frequency grid must be a strictly increasing 1-d "
                         "array of at least two points")
+    if not np.isfinite(grid).all():
+        raise GridError("frequency grid must be finite")
     if grid[0] <= 0:
         raise GridError("frequency grid must be positive")
 

@@ -12,8 +12,8 @@ import pytest
 from scipy import constants as sc
 
 import qcrlab
-from qcrlab import (RatePair, cli, dynamics, junction, read_table, spectrum,
-                    write_table)
+from qcrlab import (RatePair, cli, dynamics, junction, lamb, read_table,
+                    spectrum, write_table)
 from qcrlab.cli import _build_junction, load_and_validate, main
 from qcrlab.units import E_CHARGE, uev_to_joule
 
@@ -294,6 +294,29 @@ class TestSweepRuns:
         assert main(["--config", dump_cfg(tmp_path, cfg, "rf.json"),
                      "--out", str(tmp_path / "rf.csv")]) == 0
         assert len(calls) == 1
+
+    def test_lamb_shift_makes_one_quadrature_call_per_bias(self, tmp_path,
+                                                          monkeypatch):
+        # the principal value is one batched quadrature per spectrum
+        calls = []
+        quad = lamb.adaptive_quad
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(lamb, "adaptive_quad", counted)
+        grid = lamb.default_grid(1.0, points=301, lo_factor=0.02,
+                                 hi_factor=50.0)
+        vals = (1.0 + np.tanh(grid - 2.0)) * grid
+        lamb.lamb_shift(spectrum.SpectralDensity(grid, vals), 1.0)
+        assert len(calls) == 1
+        cfg = load_example("lamb_shift.json")
+        cfg.pop("out")
+        calls.clear()
+        assert main(["--config", dump_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "lamb.csv")]) == 0
+        assert len(calls) == cfg["grid"]["points"] == 11
 
     def test_thread_pool_output_identical(self, tmp_path):
         path = fast_sweep_cfg(tmp_path)

@@ -4,20 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from qcrlab import SpectralDensity, lamb_shift, pv_integral
+from qcrlab import (DeviceConfig, JunctionParams, ModeParams,
+                    SpectralDensity, lamb_shift, pv_integral)
 from qcrlab.errors import GridError
-from qcrlab.lamb import default_grid
-from qcrlab.units import ghz_to_omega
+from qcrlab.lamb import _rate_over_omega, default_grid
+from qcrlab.spectrum import tabulate_spectrum
+from qcrlab.units import E_CHARGE, ghz_to_omega, uev_to_joule
 
 WR = 2.0 * math.pi * 4.67e9
 
 
 class TestPvIntegral:
+    # each case passes the regular factor g of an integrand g(w)/(w - pole)
+
     def test_shifted_identity_plus_pole(self):
         # w/(w-1) = 1 + 1/(w-1); the PV of the pole term over the
         # symmetric interval (0, 2) vanishes, leaving exactly 2
-        val, err = pv_integral(lambda w: w / (w - 1.0), 1.0, 0.0, 2.0)
+        val, err = pv_integral(lambda w: w, 1.0, 0.0, 2.0)
         assert val == pytest.approx(2.0, abs=1e-9)
         assert err < 1e-6
 
@@ -26,15 +33,15 @@ class TestPvIntegral:
         # at X = 1e6 a that is about -1e-6/a, small but not zero
         a = 3.7
         cutoff = 1e6 * a
-        val, _ = pv_integral(lambda w: 1.0 / (w * w - a * a), a, 0.0,
-                             cutoff)
+        val, _ = pv_integral(lambda w: 1.0 / (w + a), a, 0.0, cutoff)
         exact = (1.0 / (2.0 * a)) * math.log((cutoff - a) / (cutoff + a))
         assert val == pytest.approx(exact, rel=1e-5)
         assert abs(val) < 2e-6 / a  # vanishes in the infinite-cutoff limit
 
     def test_odd_about_pole_vanishes(self):
-        val, _ = pv_integral(lambda w: (w - 5.0) / ((w - 5.0) ** 2 + 1.0),
-                             5.0, 3.0, 7.0)
+        # (w-5)/((w-5)^2+1) is odd about the pole: the sides cancel
+        val, _ = pv_integral(
+            lambda w: (w - 5.0) ** 2 / ((w - 5.0) ** 2 + 1.0), 5.0, 3.0, 7.0)
         assert abs(val) < 1e-10
 
     def test_breakpoints_capture_narrow_feature(self):
@@ -42,17 +49,94 @@ class TestPvIntegral:
         # narrower than the surrounding panels
         lo, hi = 2.0, 2.002
 
-        def f(w):
+        def bump(w):
             w = np.asarray(w)
-            return np.where((w >= lo) & (w <= hi), 1.0, 0.0) / (w - 1.0)
+            return np.where((w >= lo) & (w <= hi), 1.0, 0.0)
 
-        val, _ = pv_integral(f, 1.0, 0.0, 10.0, points=(lo, hi))
+        val, _ = pv_integral(bump, 1.0, 0.0, 10.0, points=(lo, hi))
         exact = math.log((hi - 1.0) / (lo - 1.0))
         assert val == pytest.approx(exact, rel=1e-10)
+
+    def test_nearly_constant_factor(self):
+        # the regular rest (g(w) - g(pole))/(w - pole) is 1e-10 here, far
+        # below the rounding of g itself, and must still converge
+        lo, hi, pole, tilt = 0.0, 5.0, 2.0, 1e-10
+        val, _ = pv_integral(lambda w: 2.0 + tilt * w, pole, lo, hi)
+        log = math.log((hi - pole) / (pole - lo))
+        exact = 2.0 * log + tilt * ((hi - lo) + pole * log)
+        assert val == pytest.approx(exact, rel=1e-13)
 
     def test_pole_must_be_interior(self):
         with pytest.raises(ValueError):
             pv_integral(lambda w: w, 3.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("f", [
+        lambda w: 1.0 / (w - 1.0),
+        lambda w: (w - 1.0) / (w - 1.0),
+    ], ids=["inf", "nan"])
+    def test_singular_factor_at_pole_rejected(self, f):
+        # a caller passing the whole integrand, pole included, fails loudly
+        with pytest.raises(ValueError, match="finite at the pole"):
+            pv_integral(f, 1.0, 0.0, 2.0)
+
+
+def cauchy_oracle(g, pole, lo, hi):
+    # QUADPACK QAWC: an independent principal-value quadrature
+    val, _ = quad(lambda w: float(g(np.array([w]))[0]), lo, hi,
+                  weight="cauchy", wvar=pole, epsabs=0.0, epsrel=1e-12,
+                  limit=200)
+    return val
+
+
+coef = st.floats(-2.0, 2.0)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestPvIntegralOracle:
+    # QAWC flags roundoff at its tight tolerance; its values still agree
+
+    @given(lo=st.floats(-3.0, 3.0), width=st.floats(0.1, 10.0),
+           frac=st.floats(0.02, 0.98), a=coef, b=coef, c=coef,
+           k=st.floats(0.0, 5.0), phase=st.floats(0.0, 6.3),
+           centre=st.floats(-3.0, 13.0),
+           knots=st.lists(st.floats(0.0, 1.0), max_size=6),
+           hug=st.sampled_from([None, -math.inf, math.inf]))
+    def test_matches_qawc(self, lo, width, frac, a, b, c, k, phase, centre,
+                          knots, hug):
+        hi = lo + width
+        pole = lo + frac * width
+        assume(lo < pole < hi)
+
+        def g(w):
+            return (a + b * np.sin(k * w + phase)
+                    + c * np.exp(-(w - centre) ** 2))
+
+        points = [lo + x * width for x in knots]
+        if hug is not None:     # a knot one ulp off the pole
+            points.append(float(np.nextafter(pole, hug)))
+        val, err = pv_integral(g, pole, lo, hi, points=tuple(points))
+        ref = cauchy_oracle(g, pole, lo, hi)
+        scale = abs(a) + abs(b) + abs(c)
+        assert abs(val - ref) <= 1e-10 * abs(ref) + 1e-11 * scale
+        assert err >= 0.0
+
+    @given(pole=st.floats(-3.0, 3.0), half=st.floats(0.1, 5.0), a=coef,
+           b=coef, c=coef, k=st.floats(0.0, 5.0),
+           hug=st.sampled_from([None, -math.inf, math.inf]))
+    def test_odd_integrand_sides_cancel(self, pole, half, a, b, c, k, hug):
+        # g even about the pole makes g/(w - pole) odd: the PV is zero
+        def g(w):
+            x = w - pole
+            return a + b * np.cos(k * x) + c * np.exp(-x * x)
+
+        points = (() if hug is None
+                  else (float(np.nextafter(pole, hug)),))
+        val, _ = pv_integral(g, pole, pole - half, pole + half,
+                             points=points)
+        ref = cauchy_oracle(g, pole, pole - half, pole + half)
+        scale = abs(a) + abs(b) + abs(c)
+        assert abs(val) <= 1e-11 * scale
+        assert abs(val - ref) <= 1e-10 * scale
 
 
 def ohmic_density(slope: float, points: int = 801) -> SpectralDensity:
@@ -117,3 +201,35 @@ class TestLambShift:
     def test_error_estimate_nonnegative(self):
         res = lamb_shift(ohmic_density(1e-7, points=301), WR)
         assert res.abs_err >= 0.0
+
+
+class TestLambShiftOracle:
+    def test_sharp_spectrum_matches_per_interval_qawc(self):
+        # T = 0 and dynes = 0 put a sharp photon-assisted threshold near
+        # the mode, and the shift nearly cancels at this bias.  The oracle
+        # is QAWC summed over the knot intervals of the same PCHIP table,
+        # with the knot that sits 6e-5 rad/s below the pole left out.
+        j = JunctionParams(delta=uev_to_joule(215.0), dynes=0.0, r_t=15e3,
+                           temp_n=0.0)
+        wr = ghz_to_omega(4.67)
+        mode = ModeParams(omega=wr, impedance=35.0, alpha=0.5)
+        grid = default_grid(wr, points=301, lo_factor=0.02, hi_factor=50.0)
+        dens = tabulate_spectrum(1.1 * 2.0 * j.delta / E_CHARGE, grid, mode,
+                                 j, DeviceConfig(junctions=2), epsrel=1e-9)
+        res = lamb_shift(dens, wr)
+
+        ratio = _rate_over_omega(dens)
+        edges = np.concatenate([[0.0], grid])
+        edges = np.delete(edges, np.argmin(np.abs(edges - wr)))
+
+        def g(w):
+            return (wr * wr / math.pi) * ratio(w) / (w + wr)
+
+        pv = sum(quad(lambda w: float(g(np.array([w]))[0]), a, b,
+                      weight="cauchy", wvar=wr, epsabs=0.0, epsrel=1e-10,
+                      limit=200)[0]
+                 for a, b in zip(edges[:-1], edges[1:]))
+        top = grid[-1]
+        tail = (dens.values[-1] / top * wr / (2.0 * math.pi)
+                * math.log((top + wr) / (top - wr)))
+        assert res.shift == pytest.approx(-(pv + tail), rel=2e-7)

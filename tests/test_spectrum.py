@@ -417,6 +417,16 @@ class TestTabulation:
         with pytest.raises(ValueError):
             SpectralDensity(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN slips through every ordering test; inf would reach the
+        # quadrature and fail there, long after the table was accepted
+        for grid in ([1.0, bad], [bad, 1.0], [1.0, 2.0, bad]):
+            with pytest.raises(GridError):
+                SpectralDensity(np.array(grid), np.zeros(len(grid)))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SpectralDensity(np.array([1.0, 2.0]), np.array([1.0, bad]))
+
     def test_tabulation_checks_grid_before_rates(self, monkeypatch,
                                                  junction_50ghz, device,
                                                  mode_10ghz):
@@ -426,7 +436,7 @@ class TestTabulation:
         monkeypatch.setattr(spectrum, "forward_rate", no_rates)
         w = mode_10ghz.omega
         for grid in ([[w, 2 * w], [3 * w, 4 * w]], [w], [2 * w, w],
-                     [0.0, w]):
+                     [0.0, w], [w, math.nan], [w, math.inf]):
             with pytest.raises(GridError):
                 tabulate_spectrum(0.0, np.array(grid), mode_10ghz,
                                   junction_50ghz, device)
