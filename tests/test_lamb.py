@@ -12,6 +12,7 @@ from qcrlab import (DeviceConfig, JunctionParams, ModeParams,
                     SpectralDensity, lamb_shift, pv_integral)
 from qcrlab.errors import GridError
 from qcrlab.lamb import _rate_over_omega, default_grid
+from qcrlab.quadrature import adaptive_quad
 from qcrlab.spectrum import tabulate_spectrum
 from qcrlab.units import E_CHARGE, ghz_to_omega, uev_to_joule
 
@@ -65,6 +66,32 @@ class TestPvIntegral:
         log = math.log((hi - pole) / (pole - lo))
         exact = 2.0 * log + tilt * ((hi - lo) + pole * log)
         assert val == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("hi, exact", [
+        (2.0, -2.0),                  # both sides' remainders equal -g(1)
+        (4.0, math.log(3.0) - 4.0),   # the left side's alone does
+    ])
+    def test_remainder_cancelling_the_pole_value(self, hi, exact):
+        # (2 - w)/(w - 1) = 1/(w - 1) - 1: each side's regular rest
+        # integrates -1 per unit length, against g(pole) = 1
+        val, _ = pv_integral(lambda w: 2.0 - w, 1.0, 0.0, hi)
+        assert val == pytest.approx(exact, rel=1e-13)
+
+    @given(lo=st.floats(-3.0, 3.0), width=st.floats(0.1, 10.0),
+           frac=st.floats(0.02, 0.98), c=st.floats(-2.0, 2.0),
+           side=st.sampled_from(["left", "right"]))
+    def test_linear_factor_with_one_side_cancelling(self, lo, width, frac,
+                                                    c, side):
+        # g = c + k (w - pole): the regular rest is k on both sides, and
+        # k is chosen so that one side integrates to exactly -|c|
+        hi = lo + width
+        pole = lo + frac * width
+        assume(lo < pole < hi and abs(c) > 1e-3)
+        k = -abs(c) / ((pole - lo) if side == "left" else (hi - pole))
+        val, _ = pv_integral(lambda w: c + k * (w - pole), pole, lo, hi)
+        log = math.log((hi - pole) / (pole - lo))
+        exact = c * log + k * (hi - lo)
+        assert abs(val - exact) <= 1e-12 * (abs(c * log) + abs(k) * width)
 
     def test_pole_must_be_interior(self):
         with pytest.raises(ValueError):
@@ -181,6 +208,29 @@ class TestLambShift:
         s1 = lamb_shift(SpectralDensity(g1, bump(g1)), WR).shift
         s2 = lamb_shift(SpectralDensity(g2, bump(g2)), WR).shift
         assert s2 == pytest.approx(s1, rel=1e-2)
+
+    def test_spectrum_whose_left_remainder_cancels_the_pole_value(self):
+        # gamma = a + b w: at one ratio a/b the regular rest below the
+        # mode integrates to exactly -g(w_r).  The Ohmic part pulls
+        # nothing, so the shift is a times that of gamma = 1.
+        grid = default_grid(WR, points=401)
+        scale = WR * WR / math.pi
+        knots = grid[grid < WR * (1.0 - 1e-10)]  # none on the pole
+
+        def left_parts(vals):
+            ratio = _rate_over_omega(SpectralDensity(grid, vals))
+            g = lambda w: scale * ratio(w) / (w + WR)
+            g0 = float(g(np.array([WR]))[0])
+            rest, _ = adaptive_quad(lambda w: (g(w) - g0) / (w - WR),
+                                    0.0, WR, points=knots, epsrel=1e-13)
+            return rest + g0
+
+        flat = np.ones_like(grid)
+        a = -left_parts(grid / WR) / left_parts(flat)
+        assert 0.0 < a < 1.0
+        res = lamb_shift(SpectralDensity(grid, a + grid / WR), WR)
+        ref = a * lamb_shift(SpectralDensity(grid, flat), WR).shift
+        assert res.shift == pytest.approx(ref, rel=1e-9)
 
     def test_grid_must_cover_working_band(self):
         grid = np.geomspace(WR, 10 * WR, 101)  # misses WR/50
