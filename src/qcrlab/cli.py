@@ -413,6 +413,12 @@ def _cmd_reset_sim(cfg: dict) -> tuple:
     extra = cfg["extra"]
     eps = cfg["epsrel"]
     scale = _bias_scale(j)
+    ts_ns = _grid_axis(cfg["grid"])
+    if ts_ns[0] < 0:
+        raise ConfigError("time grid must start at or after zero")
+    if ts_ns[-1] <= 0:
+        raise ConfigError("time grid must end after zero: grid.stop must be "
+                          "positive and grid.points above 1")
 
     env = dynamics.DcRateSource(mode, j, dev, epsrel=eps)
     meta: dict = {}
@@ -428,9 +434,6 @@ def _cmd_reset_sim(cfg: dict) -> tuple:
                                    width=1e-9 * pulse["width_ns"],
                                    rise_fall=1e-9 * pulse["rise_fall_ns"],
                                    t_start=1e-9 * pulse["t_start_ns"])
-    ts_ns = _grid_axis(cfg["grid"])
-    if ts_ns[0] < 0:
-        raise ConfigError("time grid must start at or after zero")
     n_cut = ladder["n_cut"]
     kind = ladder["init_kind"]
     if kind == "ground":

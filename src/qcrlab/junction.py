@@ -12,14 +12,14 @@ Units and conventions
   normalisation but no junction-resistance or coupling prefactor, so
   every coupling formula in :mod:`qcrlab.spectrum` scales it explicitly.
   It integrates ``cumulative_dos`` against a positive thermal kernel
-  over ``[0, max(E, delta) + 60 kT]``, all distinct ``|E|`` in one batched
-  quadrature, and obtains ``E < 0`` from detailed balance,
-  F(-E) = exp(-E/kT) F(E).  A call that asks for more distinct ``|E|``
-  than a piecewise Chebyshev interpolant of ``log F`` needs nodes is
-  served from that interpolant instead, built once per junction and
-  ``epsrel`` on the dyadic intervals ``[0, delta]``, ``[delta, 2 delta]``,
+  over ``[0, max(E, delta) + 60 kT]`` and obtains ``E < 0`` from detailed
+  balance, F(-E) = exp(-E/kT) F(E).  A call of at least 25 distinct
+  ``|E|``, the node count of one panel, reads a piecewise Chebyshev
+  interpolant of ``log F``, built once per junction and ``epsrel`` on the
+  dyadic intervals ``[0, delta]``, ``[delta, 2 delta]``,
   ``[2 delta, 4 delta]``, ... (Battles and Trefethen, SIAM J. Sci. Comput.
-  25, 1743 (2004)).  At zero temperature F(E) is
+  25, 1743 (2004)); a smaller call integrates its energies directly, in
+  one batched quadrature.  At zero temperature F(E) is
   ``cumulative_dos(max(E, 0))/h`` with no quadrature.
 """
 
@@ -198,32 +198,25 @@ def _published_bases(p: JunctionParams, epsrel: float) -> dict:
     return {}
 
 
-def _build_panels(mag: np.ndarray, p: JunctionParams,
+def _build_panels(e_max: float, p: JunctionParams,
                   epsrel: float) -> _Base | None:
-    """Panels covering ``[0, mag[-1]]``, or None to integrate directly.
+    """Panels covering ``[0, e_max]``, building each missing base whole.
 
-    Building integrates at most ``mag.size`` energies in all, counting the
-    bases already published, so the choice depends only on the junction,
-    ``epsrel``, ``mag[-1]`` and ``mag.size``.  Also None when a node rate is
-    not finite and positive, which marks that base unusable.
+    None, to integrate directly, when a node rate is not finite and
+    positive, which marks that base unusable.
     """
     published = _published_bases(p, epsrel)
     edges = [0.0, p.delta]
-    while edges[-1] < mag[-1]:
+    while edges[-1] < e_max:
         edges.append(2.0 * edges[-1])
     bases = [published.get(k, False) for k in range(len(edges) - 1)]
     if any(b is None for b in bases):
-        return None
-    spent = sum(b.nodes for b in bases if b)
-    if spent > mag.size:
         return None
     # per base being built: accepted (lo, hi, coef) and energies integrated
     accepted = {k: [] for k, b in enumerate(bases) if not b}
     cost = dict.fromkeys(accepted, 0)
     pending = [(k, edges[k], edges[k + 1]) for k in accepted]
     while pending:
-        if spent + _CHEB_N * len(pending) > mag.size:
-            return None
         ks, lo, hi = (np.array(v) for v in zip(*pending))
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes = mid[:, None] + half[:, None] * _CHEB_T
@@ -231,7 +224,6 @@ def _build_panels(mag: np.ndarray, p: JunctionParams,
         # quadrature's own estimate can be a few times optimistic
         rates = _rate_at_temperature(nodes.ravel(), p, epsrel / 10).reshape(
             nodes.shape)
-        spent += rates.size
         usable = (np.isfinite(rates) & (rates > 0.0)).all(axis=1)
         if not usable.all():
             published[int(ks[~usable][0])] = None
@@ -253,7 +245,8 @@ def _build_panels(mag: np.ndarray, p: JunctionParams,
             bases[k] = published[k] = _Base(np.array(lo_k), np.array(hi_k),
                                              np.array(coef_k), cost[k])
     return _Base(*(np.concatenate([getattr(b, f) for b in bases])
-                   for f in ("lo", "hi", "coef")), spent)
+                   for f in ("lo", "hi", "coef")),
+                 sum(b.nodes for b in bases))
 
 
 def _clenshaw(panels: _Base, x: np.ndarray) -> np.ndarray:
@@ -300,18 +293,19 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     F(-E) = exp(-E/kT) F(E), which is exact for this integrand and
     spares integrating exponentially small occupations.
 
-    When building a piecewise Chebyshev interpolant of ``log F`` over
-    ``[0, max|E|]`` integrates no more energies than the call has distinct
-    ``|E|``, the call is served from it: each panel carries degree 24, its
-    nodes are integrated at ``epsrel/10``, and it is bisected until its
-    last three coefficients are at most ``epsrel``, so the interpolant
-    agrees with the integral to about ``epsrel`` relative.  Panels are
-    cached per ``(p, epsrel)`` on fixed dyadic intervals, so whether a
-    call uses them, and what it returns, depends only on its input, never
-    on earlier calls or threads.  A scalar or short call, or one whose
-    node rates underflow, integrates directly.
+    A call with at least 25 distinct finite ``|E|`` is served from a
+    piecewise Chebyshev interpolant of ``log F`` over ``[0, max|E|]``:
+    each panel carries degree 24, its nodes are integrated at
+    ``epsrel/10``, and it is bisected until its last three coefficients
+    are at most ``epsrel``, so the interpolant agrees with the integral to
+    about ``epsrel`` relative.  Panels are cached per ``(p, epsrel)`` on
+    fixed dyadic intervals, and a missing interval is built whole, so what
+    a call returns depends only on its input, never on earlier calls or
+    threads.  A call integrates directly when a node rate of its
+    intervals underflows or a node quadrature fails.
 
-    Accuracy: the direct path meets ``epsrel`` only to within a small
+    Accuracy: only calls with fewer than 25 distinct ``|E|`` still take
+    the direct path, and it meets ``epsrel`` only to within a small
     factor.  Its Gauss-Kronrod error estimate is optimistic near the gap
     edge, where it has been seen up to about 6 ``epsrel`` off the
     converged integral (E = 0.95 delta, 0.24-0.28 K, dynes 3.5e-5 to
@@ -330,9 +324,9 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
         return cumulative_dos(np.maximum(e, 0.0), p) / PLANCK
     mag, inv = np.unique(np.abs(e).ravel(), return_inverse=True)
     panels = None
-    if mag.size and np.isfinite(mag[-1]):
+    if mag.size >= _CHEB_N and np.isfinite(mag[-1]):
         try:
-            panels = _build_panels(mag, p, epsrel)
+            panels = _build_panels(mag[-1], p, epsrel)
         except QuadratureError:
             # a build node failed: integrate the call's own energies, so
             # that any error names one of them

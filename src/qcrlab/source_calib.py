@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError, GridError, UndefinedSteadyStateError
+from .errors import (ConfigError, FitError, GridError,
+                     UndefinedSteadyStateError)
 from .junction import DeviceConfig, JunctionParams
 from .spectrum import ModeParams, RatePair, transition_rates
 from .tableio import read_table
@@ -127,6 +128,8 @@ def fit_output_power(samples: Sequence[tuple[float, float]]
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("samples must be (V, P) pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("samples must be finite")
     v, p = arr[:, 0], arr[:, 1]
     if len(v) < 3 or len(np.unique(v)) < 3:
         raise FitError("need at least three distinct bias points")
@@ -176,6 +179,8 @@ def fit_reflection(trace: Sequence[tuple[float, complex]]
     from scipy import optimize
     omega = np.array([float(t[0]) for t in trace])
     gamma = np.array([complex(t[1]) for t in trace])
+    if not (np.isfinite(omega).all() and np.isfinite(gamma).all()):
+        raise ValueError("reflection trace must be finite")
     if len(omega) < 7:
         raise FitError("reflection trace too short to constrain three "
                        "parameters")
@@ -291,19 +296,28 @@ def calibration_pipeline(samples: Sequence[tuple[float, float]],
     return CalibrationRecord(a=a, b=b, c=c, gain=g, t_noise=tn, residual=rms)
 
 
+def _finite_columns(path: str, *names: str) -> list[np.ndarray]:
+    """The named columns of the table at ``path``; ConfigError naming the
+    file, column and data row of the first sample that is not finite."""
+    table = read_table(path)
+    cols = [table.column(name) for name in names]
+    for name, col in zip(names, cols):
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise ConfigError(f"{path}: column {name!r} holds "
+                              f"{float(col[bad[0]])!r} in data row "
+                              f"{bad[0] + 1}, not a finite number")
+    return cols
+
+
 def load_power_samples(path: str) -> list[tuple[float, float]]:
     """Read (bias_V, power_W) pairs from a measurement-style CSV."""
-    table = read_table(path)
-    v = table.column("bias_V")
-    p = table.column("power_W")
+    v, p = _finite_columns(path, "bias_V", "power_W")
     return list(zip(v.tolist(), p.tolist()))
 
 
 def load_reflection_trace(path: str) -> list[tuple[float, complex]]:
     """Read (freq_Hz, re_gamma, im_gamma) rows, returning angular frequency."""
-    table = read_table(path)
-    f = table.column("freq_Hz")
-    re = table.column("re_gamma")
-    im = table.column("im_gamma")
+    f, re, im = _finite_columns(path, "freq_Hz", "re_gamma", "im_gamma")
     return [(2.0 * math.pi * fi, complex(r, i))
             for fi, r, i in zip(f.tolist(), re.tolist(), im.tolist())]

@@ -370,59 +370,36 @@ def effective_temperature(r: RatePair, omega: float) -> float:
     return HBAR * omega / (K_B * math.log(r.down / r.up))
 
 
-def _golden_min(fun, lo: float, hi: float, xtol: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def optimal_bias(mode: ModeParams, j: JunctionParams, dev: DeviceConfig, *,
                  epsrel: float = 1e-11) -> OptimalBias:
     """Bias minimising the effective mode temperature.
 
     Searches device-level voltages whose per-junction share spans
-    [0, 2*delta/e]: a coarse scan brackets the global minimum and a
-    golden-section refinement locates it.
+    [0, 2*delta/e]: a 161-point batched scan brackets the global minimum
+    by its two neighbours, and the same scan over that bracket narrows it
+    80-fold until it is narrower than ``1e-4 * span / 161``.
     """
-    span = dev.junctions * 2.0 * j.delta / E_CHARGE
     coarse = 161
+    lo, hi = 0.0, dev.junctions * 2.0 * j.delta / E_CHARGE
+    xtol = 1e-4 * hi / coarse
 
-    def t_eff(r: RatePair) -> float:
+    def t_eff(up: float, down: float) -> float:
         try:
-            return effective_temperature(r, mode.omega)
+            return effective_temperature(RatePair(up, down), mode.omega)
         except NonpositiveTemperatureError:
             return math.inf
 
-    def t_of_v(v: float) -> float:
-        return t_eff(transition_rates(v, mode, j, dev, epsrel=epsrel))
-
-    vs = np.linspace(0.0, span, coarse)
-    scan = transition_rates(vs, mode, j, dev, epsrel=epsrel)
-    ts = np.array([t_eff(RatePair(up, down))
-                   for up, down in zip(scan.up, scan.down)])
-    if not np.any(np.isfinite(ts)):
-        raise NonpositiveTemperatureError(
-            "effective temperature undefined over the whole scan")
-    i = int(np.argmin(ts))
-    lo = vs[max(i - 1, 0)]
-    hi = vs[min(i + 1, coarse - 1)]
-    v_best = _golden_min(t_of_v, lo, hi, xtol=1e-4 * span / coarse)
-    t_best = t_of_v(v_best)
-    if ts[i] < t_best:
-        v_best, t_best = float(vs[i]), float(ts[i])
-    return OptimalBias(float(v_best), float(t_best))
+    while True:
+        vs = np.linspace(lo, hi, coarse)
+        scan = transition_rates(vs, mode, j, dev, epsrel=epsrel)
+        ts = np.array([t_eff(*r) for r in zip(scan.up, scan.down)])
+        if not np.any(np.isfinite(ts)):
+            raise NonpositiveTemperatureError(
+                "effective temperature undefined over the whole scan")
+        i = int(np.argmin(ts))
+        if hi - lo < xtol:
+            return OptimalBias(float(vs[i]), float(ts[i]))
+        lo, hi = vs[max(i - 1, 0)], vs[min(i + 1, coarse - 1)]
 
 
 def on_off_ratio(mode: ModeParams, j: JunctionParams, dev: DeviceConfig, *,

@@ -29,19 +29,6 @@ def uev_to_joule(x: float) -> float:
     return x * 1e-6 * E_CHARGE
 
 
-def joule_to_uev(x: float) -> float:
-    return x / (1e-6 * E_CHARGE)
-
-
-def ghz_to_joule(f: float) -> float:
-    """Photon energy of a frequency given in GHz (E = h f)."""
-    return PLANCK * f * 1e9
-
-
 def ghz_to_omega(f: float) -> float:
     """Frequency in GHz -> angular frequency in rad/s."""
     return 2.0 * math.pi * f * 1e9
-
-
-def omega_to_ghz(w: float) -> float:
-    return w / (2.0e9 * math.pi)

@@ -154,14 +154,13 @@ def test_rf_transition_rates_drive_array_matches_scalar_calls(case, d, rho):
 
 
 def test_rf_batch_served_by_the_interpolant_agrees_within_epsrel():
-    # 21 sidebands at nonzero bias give the batch 84 energies, enough to
-    # build the F(E) interpolant (50 integrated energies here); the vacuum
-    # entry alone has only the 11 sidebands s <= 0, 44 energies, and
-    # integrates directly
+    # 11 sidebands at nonzero bias give the batch 44 energies, at least the
+    # 25 that F(E) serves from its interpolant; the vacuum entry alone has
+    # only the 6 sidebands s <= 0, 24 energies, and integrates directly
     j = JunctionParams(delta=GAP, dynes=1e-4, r_t=15e3, temp_n=0.3)
     dev = DeviceConfig(junctions=1, charging_energy=0.05 * GAP)
     support = ModeParams(omega=ghz_to_omega(2.0), impedance=35.0, alpha=0.5)
-    d = DriveState(mean_n=np.array([0.0, 1.0, 3.0]), l_max=10, fock_cut=60)
+    d = DriveState(mean_n=np.array([0.0, 1.0, 3.0]), l_max=5, fock_cut=60)
     v = 0.6 * GAP / E_CHARGE
 
     def rates(mean_n):

@@ -13,7 +13,7 @@ from scipy import constants as sc
 
 import qcrlab
 from qcrlab import (RatePair, cli, dynamics, junction, lamb, read_table,
-                    spectrum, write_table)
+                    source_calib, spectrum, write_table)
 from qcrlab.cli import _build_junction, load_and_validate, main
 from qcrlab.units import E_CHARGE, uev_to_joule
 
@@ -410,6 +410,18 @@ class TestSweepRuns:
         assert not out.exists()
         assert not Path(str(out) + ".meta.json").exists()
 
+    def test_reset_sim_grid_ending_at_zero_names_grid_stop(self, tmp_path,
+                                                           capsys):
+        cfg = load_example("reset_sim.json")
+        cfg["grid"] = {"start": 0.0, "stop": 0.0, "points": 1}
+        out = tmp_path / "reset.csv"
+        code = main(["--config", dump_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 2
+        assert "config error: time grid must end after zero: grid.stop" \
+            in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
+
     @pytest.mark.parametrize("where", ["level", "ramp knot"])
     def test_reset_sim_nonfinite_rate_exits_3_naming_bias(
             self, tmp_path, capsys, monkeypatch, where):
@@ -525,11 +537,12 @@ class TestSweepRuns:
         cfg["grid"] = {"start": 0.6, "stop": 1.1, "points": 2}
         out = tmp_path / "lamb.csv"
         meta = tmp_path / "lamb.csv.meta.json"
-        # 301 frequencies ask for 602 energies per bias, more than the
-        # interpolant needs; 31 ask for 62, too few to build it
-        for points, built in ((301, True), (31, False)):
-            cfg["spectrum"] = {"points": points, "lo_factor": 0.02,
-                               "hi_factor": 50.0, "epsrel": 1e-6}
+        # 31 frequencies ask for 62 energies per bias, at least the 25 that
+        # build the interpolant; at zero temperature F(E) is closed-form
+        cfg["spectrum"] = {"points": 31, "lo_factor": 0.02,
+                           "hi_factor": 50.0, "epsrel": 1e-6}
+        for temp, built in ((0.1, True), (0.0, False)):
+            cfg["junction"]["temp_n_k"] = temp
             junction._published_bases.cache_clear()
             assert main(["--config", dump_cfg(tmp_path, cfg),
                          "--out", str(out)]) == 0
@@ -657,6 +670,57 @@ class TestCalibrateCommand:
         assert f"config error: cannot read table {cfg[key]!r}" in err
         assert not out.exists()
         assert not Path(str(out) + ".meta.json").exists()
+
+    @pytest.mark.parametrize("key,column,value", [
+        ("power_csv", "power_W", math.nan),
+        ("reflection_csv", "re_gamma", math.nan),
+        ("reflection_csv", "im_gamma", math.inf)])
+    def test_nonfinite_sample_exits_2_without_output(self, tmp_path, capsys,
+                                                     key, column, value):
+        cfg = load_example("calibrate.json")
+        path = str(tmp_path / "input.csv")
+        if key == "power_csv":
+            del cfg["synthesize"]
+            cfg["p_out_zero_w"] = 1e-12
+            names = ["bias_V (V)", "power_W (W)"]
+            data = np.column_stack([np.linspace(5e-3, 2e-2, 9),
+                                    np.linspace(1e-9, 5e-9, 9)])
+        else:
+            names = ["freq_Hz (Hz)", "re_gamma", "im_gamma"]
+            w = source_calib.reflection_model(
+                np.linspace(4.6e9, 4.8e9, 41), 4.7e9, 2e6, 1e6)
+            data = np.column_stack([np.linspace(4.6e9, 4.8e9, 41),
+                                    w.real, w.imag])
+        data[2, [n.split(" (")[0] for n in names].index(column)] = value
+        write_table(path, names, data)
+        cfg[key] = path
+        out = tmp_path / "cal.json"
+        code = main(["--config", dump_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"config error: {path}: column {column!r} holds {value!r} "
+                f"in data row 3, not a finite number") in err
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
+
+    def test_fits_a_reflection_trace(self, tmp_path):
+        # the tolerances of the library's coupling-branch recovery test
+        wr, gtr, gint = 2.0 * math.pi * 4.67e9, 2e6, 5e5
+        lw = gtr + gint
+        w = wr + np.linspace(-20 * lw, 20 * lw, 2001)
+        g = source_calib.reflection_model(w, wr, gtr, gint)
+        path = str(tmp_path / "trace.csv")
+        write_table(path, ["freq_Hz (Hz)", "re_gamma", "im_gamma"],
+                    np.column_stack([w / (2.0 * math.pi), g.real, g.imag]))
+        cfg = load_example("calibrate.json")
+        cfg["reflection_csv"] = path
+        out = str(tmp_path / "cal.json")
+        assert main(["--config", dump_cfg(tmp_path, cfg), "--out", out]) == 0
+        fit = json.loads(open(out).read())["reflection_fit"]
+        assert 2.0 * math.pi * 1e9 * fit["f_r_ghz"] == pytest.approx(
+            wr, abs=1e-3 * lw)
+        assert fit["gamma_tr_per_s"] == pytest.approx(gtr, rel=1e-6)
+        assert fit["gamma_int_per_s"] == pytest.approx(gint, rel=1e-6)
 
 
 class TestDiffCommand:

@@ -6,6 +6,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -155,10 +156,20 @@ class TestBatchedForwardRate:
         e = np.concatenate([e, e[:10], -e[10:20], [0.0]])
         rng.shuffle(e)
         batch = forward_rate(e, j)
-        np.testing.assert_array_equal(
-            batch, [forward_rate(float(x), j) for x in e])
         np.testing.assert_array_equal(forward_rate(e.reshape(2, -1), j),
                                       batch.reshape(2, -1))
+        if temp == 0.0:
+            np.testing.assert_array_equal(
+                batch, [forward_rate(float(x), j) for x in e])
+        else:
+            # so long a call reads the interpolant; the direct quadrature,
+            # which serves every scalar call, is split into batches without
+            # changing any of its energies' rates
+            mag = np.abs(e)
+            direct = junction._rate_at_temperature
+            np.testing.assert_array_equal(
+                direct(mag, j, 1e-11),
+                [direct(mag[i:i + 1], j, 1e-11)[0] for i in range(mag.size)])
 
     def test_float_in_float_out(self):
         j = make_j()
@@ -270,8 +281,7 @@ def one_by_one(e, j, epsrel):
 
 
 class TestInterpolatedForwardRate:
-    # more distinct energies than the interpolant has nodes anywhere in
-    # the drawn range (at most 950 at 10 mK and epsrel 1e-11)
+    # a call of 25 or more distinct |E| reads the interpolant
     SIZE = 1500
 
     @settings(max_examples=10)
@@ -291,6 +301,54 @@ class TestInterpolatedForwardRate:
         # balance takes E < 0 to, no relative accuracy is left.
         np.testing.assert_allclose(got, one_by_one(e, j, epsrel / 100),
                                    rtol=epsrel, atol=np.finfo(float).tiny)
+
+    def test_24_distinct_energies_integrate_directly(self):
+        # even with the bases cached; sign flips repeat an |E|
+        j = make_j()
+        forward_rate(np.linspace(0.0, 3.0, self.SIZE) * DELTA, j)
+        mag = np.linspace(0.05, 3.0, 24) * DELTA
+        e = np.concatenate([mag, -mag[::3]])
+        with mock.patch.object(junction, "_clenshaw",
+                               wraps=junction._clenshaw) as interpolated:
+            batch = forward_rate(e, j)
+        assert not interpolated.called
+        np.testing.assert_array_equal(batch,
+                                      [forward_rate(float(x), j) for x in e])
+
+    def test_25_distinct_energies_read_the_interpolant(self):
+        j = make_j()
+        epsrel = 1e-9
+        e = np.linspace(0.05, 3.0, 25) * DELTA
+        e[::2] *= -1.0
+        junction._published_bases.cache_clear()
+        with mock.patch.object(junction, "_clenshaw",
+                               wraps=junction._clenshaw) as interpolated:
+            got = forward_rate(e, j, epsrel=epsrel)
+        assert interpolated.call_count == 1
+        np.testing.assert_allclose(got, one_by_one(e, j, epsrel / 100),
+                                   rtol=epsrel, atol=np.finfo(float).tiny)
+
+    def test_mid_size_calls_integrate_only_the_nodes(self, monkeypatch):
+        # calls of 30 to 140 energies, each smaller than the interpolant's
+        # node count, integrate nothing but the nodes of its bases
+        j = make_j()
+        epsrel = 1e-9
+        integrated = []
+        direct = junction._rate_at_temperature
+
+        def counted(e, p, eps):
+            integrated.append(np.size(e))
+            return direct(e, p, eps)
+
+        monkeypatch.setattr(junction, "_rate_at_temperature", counted)
+        junction._published_bases.cache_clear()
+        rng = np.random.default_rng(3)
+        for size in rng.integers(30, 141, 20):
+            forward_rate(rng.uniform(-3.0, 3.0, size) * DELTA, j,
+                         epsrel=epsrel)
+        nodes = junction.interpolant_size(j, epsrel)[1]
+        assert nodes > 140
+        assert sum(integrated) == nodes
 
     def test_panels_do_not_depend_on_the_first_call(self):
         j = make_j()

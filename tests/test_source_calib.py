@@ -8,6 +8,7 @@ from scipy import constants as sc
 
 from qcrlab import (
     CalibrationParams,
+    ConfigError,
     FitError,
     GridError,
     ModeParams,
@@ -169,6 +170,15 @@ class TestOutputPowerFit:
         with pytest.raises(ValueError):
             fit_output_power([(1e-3, 1.0, 5.0)])
 
+    @pytest.mark.parametrize("bad", [(math.nan, 1), (math.inf, 0),
+                                     (-math.inf, 1)])
+    def test_rejects_nonfinite_samples(self, bad):
+        samples = [list(x) for x in self.synth(1.6e-5, -3e-9, 2e-12, n=8)]
+        value, column = bad
+        samples[3][column] = value
+        with pytest.raises(ValueError, match="finite"):
+            fit_output_power(samples)
+
 
 class TestChainFigures:
     def test_gain_round_trip(self):
@@ -225,6 +235,18 @@ class TestReflection:
         w = self.WR + np.linspace(-lw, lw, 801)
         trace = list(zip(w, reflection_model(w, self.WR, 2e6, 1e6)))
         with pytest.raises(GridError):
+            fit_reflection(trace)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0),
+                                     complex(0.0, math.inf)])
+    def test_nonfinite_trace_rejected(self, bad):
+        w = self.WR + np.linspace(-50e6, 50e6, 401)
+        trace = list(zip(w, reflection_model(w, self.WR, 2e6, 1e6)))
+        trace[200] = (w[200], bad)
+        with pytest.raises(ValueError, match="finite"):
+            fit_reflection(trace)
+        trace[200] = (math.nan, 0.5)
+        with pytest.raises(ValueError, match="finite"):
             fit_reflection(trace)
 
     def test_short_trace_rejected(self):
@@ -339,3 +361,33 @@ class TestCsvLoaders:
         got = load_reflection_trace(path)
         assert got[3][0] == pytest.approx(2.0 * math.pi * f[3], rel=1e-15)
         assert got[3][1] == pytest.approx(g[3], rel=1e-12)
+
+    @pytest.mark.parametrize("column,value", [("power_W", math.nan),
+                                              ("bias_V", math.inf)])
+    def test_nonfinite_power_sample_names_file_column_row(self, tmp_path,
+                                                          column, value):
+        path = str(tmp_path / "power.csv")
+        data = np.column_stack([np.linspace(1e-3, 5e-3, 9),
+                                np.linspace(1e-9, 5e-9, 9)])
+        data[4, ["bias_V", "power_W"].index(column)] = value
+        write_table(path, ["bias_V (V)", "power_W (W)"], data)
+        with pytest.raises(ConfigError) as exc:
+            load_power_samples(path)
+        assert str(exc.value) == (f"{path}: column {column!r} holds "
+                                  f"{value!r} in data row 5, not a finite "
+                                  f"number")
+
+    @pytest.mark.parametrize("column,value", [("re_gamma", math.nan),
+                                              ("im_gamma", -math.inf),
+                                              ("freq_Hz", math.nan)])
+    def test_nonfinite_reflection_sample_names_file_column_row(
+            self, tmp_path, column, value):
+        path = str(tmp_path / "trace.csv")
+        names = ["freq_Hz", "re_gamma", "im_gamma"]
+        data = np.column_stack([np.linspace(4.6e9, 4.8e9, 11),
+                                np.zeros(11), np.ones(11)])
+        data[0, names.index(column)] = value
+        write_table(path, ["freq_Hz (Hz)", "re_gamma", "im_gamma"], data)
+        with pytest.raises(ConfigError, match=(
+                f"column {column!r} holds {value!r} in data row 1,")):
+            load_reflection_trace(path)

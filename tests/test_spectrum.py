@@ -4,6 +4,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -255,6 +256,17 @@ class TestOptimalBias:
         i = int(np.argmin(temps))
         assert abs(best.voltage - vs[i]) <= vs[1] - vs[0]
         assert best.t_eff <= temps[i] + 1e-12
+
+    def test_makes_no_scalar_rate_call(self, junction_50ghz, device,
+                                       mode_10ghz):
+        # every evaluation is a 161-point batch, served by the F(E)
+        # interpolant that the first one builds
+        with mock.patch.object(spectrum, "transition_rates",
+                               wraps=spectrum.transition_rates) as rates:
+            optimal_bias(mode_10ghz, junction_50ghz, device, epsrel=EPS)
+        assert rates.call_count > 1
+        assert all(np.shape(c.args[0]) == (161,)
+                   for c in rates.call_args_list)
 
     def test_on_off_ratio_positive_and_large(self, junction_50ghz, device,
                                              mode_10ghz):
