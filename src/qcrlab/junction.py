@@ -293,7 +293,7 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     F(-E) = exp(-E/kT) F(E), which is exact for this integrand and
     spares integrating exponentially small occupations.
 
-    A call with at least 25 distinct finite ``|E|`` is served from a
+    A call with at least 25 distinct ``|E|`` is served from a
     piecewise Chebyshev interpolant of ``log F`` over ``[0, max|E|]``:
     each panel carries degree 24, its nodes are integrated at
     ``epsrel/10``, and it is bisected until its last three coefficients
@@ -314,17 +314,23 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
 
     Raises
     ------
+    ValueError
+        When an energy is not finite; the message names the first one.
     QuadratureError
         When the integral at some energy does not converge; the message
         names that energy.
     """
     e = np.asarray(e_gain, dtype=float)
+    bad = e[~np.isfinite(e)]
+    if bad.size:
+        raise ValueError(f"forward rate F(E) needs finite energies, got "
+                         f"E = {float(bad[0])!r} J")
     if p.temp_n == 0.0:
         # the occupations collapse to the window (0, E), empty for E <= 0
         return cumulative_dos(np.maximum(e, 0.0), p) / PLANCK
     mag, inv = np.unique(np.abs(e).ravel(), return_inverse=True)
     panels = None
-    if mag.size >= _CHEB_N and np.isfinite(mag[-1]):
+    if mag.size >= _CHEB_N:
         try:
             panels = _build_panels(mag[-1], p, epsrel)
         except QuadratureError:

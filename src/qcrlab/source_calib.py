@@ -173,10 +173,52 @@ def reflection_model(omega: np.ndarray, omega_r: float, gamma_tr: float,
         / (dw + 0.5 * (gamma_int + gamma_tr))
 
 
+def _real_rows(z: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of ``z`` stacked as rows of one real array."""
+    return np.concatenate([z.real, z.imag])
+
+
+def _gauss_newton(x: np.ndarray, gamma: np.ndarray, p: np.ndarray,
+                  free: np.ndarray) -> np.ndarray:
+    """Gauss-Newton on ``reflection_model - gamma`` over the ``free``
+    entries of ``p = (omega_r, gamma_tr, gamma_int)``.  Each step is halved
+    until it lowers the sum of squares; the search stops once the step is
+    below 1e-14 of the largest parameter."""
+    def cost(q):
+        return float(np.sum(np.abs(reflection_model(x, *q) - gamma) ** 2))
+
+    best = cost(p)
+    for _ in range(100):
+        den = 1j * (x - p[0]) + 0.5 * (p[1] + p[2])
+        model = reflection_model(x, *p)
+        jac = np.column_stack([-1j * p[1] / den ** 2,
+                               -(1.0 + model) / (2.0 * den),
+                               (1.0 - model) / (2.0 * den)]) * free
+        step = np.linalg.lstsq(_real_rows(jac), _real_rows(gamma - model),
+                               rcond=None)[0] * free
+        while np.abs(step).max() > 1e-14 * np.abs(p).max():
+            trial = cost(p + step)
+            if trial < best:
+                break
+            step /= 2
+        else:
+            return p
+        p, best = p + step, trial
+    raise FitError("reflection fit did not converge")
+
+
 def fit_reflection(trace: Sequence[tuple[float, complex]]
                    ) -> tuple[float, float, float]:
-    """(omega_r, gamma_tr, gamma_int) from a complex reflection trace."""
-    from scipy import optimize
+    """(omega_r, gamma_tr, gamma_int) from a complex reflection trace.
+
+    The model ``(i(w - w_r) + a)/(i(w - w_r) + b)``, with
+    ``a = (gamma_int - gamma_tr)/2`` and ``b = (gamma_int + gamma_tr)/2``,
+    is a Moebius map of ``w``, so ``gamma (i(w - w_r) + b) = i(w - w_r) + a``
+    is linear in ``(w_r, a, b)`` (Probst et al., Rev. Sci. Instrum. 86,
+    024706 (2015)).  Its least-squares solution starts Gauss-Newton on the
+    true residual.  A rate whose optimum is negative is held at 0 while
+    the others are refitted.
+    """
     omega = np.array([float(t[0]) for t in trace])
     gamma = np.array([complex(t[1]) for t in trace])
     if not (np.isfinite(omega).all() and np.isfinite(gamma).all()):
@@ -186,40 +228,24 @@ def fit_reflection(trace: Sequence[tuple[float, complex]]
                        "parameters")
     order = np.argsort(omega)
     omega, gamma = omega[order], gamma[order]
-
-    mag = np.abs(gamma)
-    i0 = int(np.argmin(mag))
-    wr0 = omega[i0]
-    # depth fixes |g_int - g_tr|/(g_int + g_tr); the half-depth span fixes
-    # the total linewidth.  Try both coupling branches and keep the best.
-    half = 0.5 * (1.0 + mag[i0] ** 2)
-    above = np.sqrt(np.clip(half, 0.0, 1.0))
-    wide = omega[mag <= above]
-    width0 = max(wide[-1] - wide[0],
-                 4.0 * np.median(np.diff(omega)))
-    depth = np.clip(mag[i0], 0.0, 1.0)
-
-    best = None
-    for sign in (+1.0, -1.0):
-        gtr0 = 0.5 * width0 * (1.0 - sign * depth)
-        gint0 = 0.5 * width0 * (1.0 + sign * depth)
-
-        def resid(x):
-            model = reflection_model(omega, x[0], x[1], x[2])
-            d = model - gamma
-            return np.concatenate([d.real, d.imag])
-
-        sol = optimize.least_squares(
-            resid, [wr0, max(gtr0, 1e-6 * width0), max(gint0, 1e-6 * width0)],
-            bounds=([omega[0], 0.0, 0.0], [omega[-1], np.inf, np.inf]),
-            x_scale=[max(width0, 1e-12), max(width0, 1e-12),
-                     max(width0, 1e-12)],
-            xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None or not best.success:
-        raise FitError("reflection fit did not converge")
-    wr, gtr, gint = (float(x) for x in best.x)
+    # frequencies relative to the centre of the trace keep the unknowns on
+    # the scale of the linewidth
+    centre = 0.5 * (omega[0] + omega[-1])
+    x = omega - centre
+    design = np.column_stack([1j * (gamma - 1.0), np.ones_like(gamma),
+                              -gamma])
+    (shift, a, b), _, rank, _ = np.linalg.lstsq(
+        _real_rows(design), _real_rows(1j * x * (gamma - 1.0)), rcond=None)
+    if rank < 3:
+        raise FitError("degenerate reflection trace: no resonance to fit")
+    p = np.array([shift, b - a, a + b])
+    free = np.ones(3, dtype=bool)
+    p = _gauss_newton(x, gamma, p, free)
+    while (p[1:] < 0).any():
+        free[1:] &= p[1:] >= 0
+        p[~free] = 0.0
+        p = _gauss_newton(x, gamma, p, free)
+    wr, gtr, gint = float(centre + p[0]), float(p[1]), float(p[2])
     linewidth = gtr + gint
     span = omega[-1] - omega[0]
     if linewidth <= 0 or span < 5.0 * linewidth:

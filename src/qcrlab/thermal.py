@@ -3,8 +3,8 @@
 Island A exchanges heat with island B through a single photonic channel
 bounded by the conductance quantum, and with the phonon bath through the
 electron--phonon coupling of its normal metal.  The steady state solves
-the power balance; its linearization around the bath temperature gives
-the differential response 1/(1 + a T0^3).
+the power balance by Newton's method; its linearization around the bath
+temperature gives the differential response 1/(1 + a T0^3).
 """
 
 from __future__ import annotations
@@ -67,81 +67,33 @@ def _balance(t_a: float, net: ThermalNetwork, t_b: float) -> float:
     return p_photon + p_ep + net.p_const
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int) -> float:
-    """Root of ``f`` in the bracket ``[xa, xb]`` by Brent's method.
-
-    A line-for-line port of scipy's ``brentq.c`` (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4), so it returns the
-    same root as ``scipy.optimize.brentq`` bit for bit.  ``f(xa)`` and
-    ``f(xb)`` must differ in sign.
-    """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(xa) and f(xb) must differ in sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise ConvergenceError(
-        f"Brent's method did not converge in {maxiter} iterations")
-
-
 def steady_state(net: ThermalNetwork, t_b: float) -> float:
-    """Island-A temperature balancing photon, phonon, and constant loads."""
+    """Island-A temperature balancing photon, phonon, and constant loads.
+
+    For ``t_a > 0`` the balance is strictly decreasing and concave, and it
+    is positive at 0, so it has one root, which lies below the closed-form
+    bound ``sqrt(balance(0) / coeff)`` (the balance is ``-ep t_a^5 <= 0``
+    there).  Newton's method from that bound falls monotonically onto the
+    root, and stops when an iterate no longer decreases.
+    """
     if t_b <= 0:
         raise ValueError("island-B temperature must be positive")
-    lo = 1e-12
-    hi = max(t_b, net.t0)
-    f_lo = _balance(lo, net, t_b)
-    if f_lo <= 0:
-        return lo if f_lo == 0 else _raise_bracket(net, t_b)
+    ep = net.ep_sigma * net.volume
+    t_a = math.sqrt(_balance(0.0, net, t_b) / _PHOTON_COEFF)
     for _ in range(200):
-        if _balance(hi, net, t_b) < 0:
+        f = _balance(t_a, net, t_b)
+        if not f < 0:
             break
-        hi *= 2.0
+        step = f / (2.0 * _PHOTON_COEFF * t_a + 5.0 * ep * t_a ** 4)
+        if not t_a + step < t_a:
+            break
+        t_a += step
     else:
-        return _raise_bracket(net, t_b)
-    root = _brentq(lambda t_a: _balance(t_a, net, t_b), lo, hi,
-                   xtol=1e-18, rtol=8.9e-16, maxiter=300)
-    residual = abs(_balance(root, net, t_b))
+        raise ConvergenceError(
+            f"Newton's method did not converge in 200 iterations for "
+            f"t_b={t_b}, t0={net.t0}")
+    residual = abs(_balance(t_a, net, t_b))
     if not residual < 1e-18:
         raise ConvergenceError(
             f"heat balance residual {residual:.3e} W at the root")
-    return float(root)
-
-
-def _raise_bracket(net: ThermalNetwork, t_b: float):
-    raise ConvergenceError(
-        f"could not bracket the steady state for t_b={t_b}, t0={net.t0}")
+    return t_a

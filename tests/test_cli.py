@@ -790,8 +790,9 @@ class TestLoggingEnv:
 class TestStartup:
     def test_cli_import_defers_scipy_submodules(self, tmp_path):
         # a fresh interpreter: this process has long imported everything.
-        # None of these commands may load scipy, jsonschema or
-        # concurrent.futures, and only a noisy calibrate numpy.random.
+        # scipy is blocked there, so importing any of it fails.  None of
+        # these commands may load scipy, jsonschema or concurrent.futures,
+        # and only a noisy calibrate numpy.random.
         src = str(Path(qcrlab.__file__).resolve().parent.parent)
         path = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -811,14 +812,24 @@ class TestStartup:
         quiet = small_config("calibrate.json")
         quiet["synthesize"]["noise_sigma_w"] = 0.0
         add("calibrate-noiseless", quiet)
+        wr, gtr, gint = 2.0 * math.pi * 4.67e9, 2e6, 5e5
+        w = wr + np.linspace(-20.0, 20.0, 401) * (gtr + gint)
+        g = source_calib.reflection_model(w, wr, gtr, gint)
+        quiet["reflection_csv"] = str(tmp_path / "trace.csv")
+        write_table(quiet["reflection_csv"],
+                    ["freq_Hz (Hz)", "re_gamma", "im_gamma"],
+                    np.column_stack([w / (2.0 * math.pi), g.real, g.imag]))
+        add("calibrate-reflection", quiet)
         # last, since the modules it loads stay loaded
         runs["calibrate"] = runs.pop("calibrate")
         probe = (
             "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
             "def loaded():\n"
-            "    return sorted(m for m in sys.modules if m.partition('.')[0]\n"
+            "    return sorted(m for m, mod in sys.modules.items()\n"
+            "                  if mod is not None and (m.partition('.')[0]\n"
             "                  in ('scipy', 'jsonschema') or m.startswith(\n"
-            "                      ('concurrent.futures', 'numpy.random')))\n"
+            "                      ('concurrent.futures', 'numpy.random'))))\n"
             "import qcrlab\n"
             "report = {'qcrlab': loaded()}\n"
             "import qcrlab.cli, qcrlab.dynamics\n"

@@ -4,6 +4,7 @@ import functools
 import math
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from unittest import mock
@@ -396,6 +397,21 @@ class TestValidation:
             JunctionParams(delta=DELTA, dynes=1e-4, r_t=0.0, temp_n=0.1)
         with pytest.raises(ValueError):
             JunctionParams(delta=DELTA, dynes=1e-4, r_t=1e4, temp_n=-0.1)
+
+    @pytest.mark.parametrize("temp", [0.1, 0.0])
+    @pytest.mark.parametrize("energies,bad", [
+        ([math.inf], math.inf), ([math.nan], math.nan),
+        ([*np.linspace(-2.0, 2.0, 30) * DELTA, math.inf], math.inf)])
+    def test_rejects_nonfinite_energy_before_quadrature(self, temp,
+                                                        energies, bad):
+        fail = mock.Mock(side_effect=AssertionError("quadrature ran"))
+        with mock.patch.object(junction, "adaptive_quad", fail), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"got E = {bad!r} J")):
+                forward_rate(np.array(energies), make_j(temp=temp))
+        fail.assert_not_called()
 
     def test_device_junction_count(self):
         assert DeviceConfig().junctions == 2

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import constants as sc
+from scipy import optimize
 
 from qcrlab import (
     CalibrationParams,
@@ -202,6 +205,44 @@ class TestChainFigures:
             noise_temperature(1.0, 1e7, 0.0)
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+def least_squares_reflection_fit(omega, gamma):
+    """Oracle: the bounded ``scipy.optimize.least_squares`` search over
+    both coupling branches that ``fit_reflection`` used to run, started
+    from the depth and half-depth width of ``|gamma|``."""
+    mag = np.abs(gamma)
+    i0 = int(np.argmin(mag))
+    above = np.sqrt(np.clip(0.5 * (1.0 + mag[i0] ** 2), 0.0, 1.0))
+    wide = omega[mag <= above]
+    width0 = max(wide[-1] - wide[0], 4.0 * np.median(np.diff(omega)))
+    depth = np.clip(mag[i0], 0.0, 1.0)
+
+    def resid(x):
+        d = reflection_model(omega, x[0], x[1], x[2]) - gamma
+        return np.concatenate([d.real, d.imag])
+
+    best = None
+    for sign in (+1.0, -1.0):
+        gtr0 = 0.5 * width0 * (1.0 - sign * depth)
+        gint0 = 0.5 * width0 * (1.0 + sign * depth)
+        sol = optimize.least_squares(
+            resid, [omega[i0], max(gtr0, 1e-6 * width0),
+                    max(gint0, 1e-6 * width0)],
+            bounds=([omega[0], 0.0, 0.0], [omega[-1], np.inf, np.inf]),
+            x_scale=[width0] * 3, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        if best is None or sol.cost < best.cost:
+            best = sol
+    return best.x
+
+
+def squared_residual(omega, gamma, params):
+    return float(np.sum(np.abs(reflection_model(omega, *params) - gamma)
+                        ** 2))
+
+
 class TestReflection:
     WR = 2.0 * math.pi * 4.67e9
 
@@ -229,6 +270,33 @@ class TestReflection:
         assert wr == pytest.approx(self.WR, abs=1e-3 * lw)
         assert gtr_f == pytest.approx(gtr, rel=1e-6)
         assert gint_f == pytest.approx(gint, rel=1e-6)
+
+    @settings(max_examples=100)
+    @given(gtr=log_uniform(1e5, 1e7),
+           ratio=st.one_of(st.just(0.0), log_uniform(1e-4, 1e-2),
+                           log_uniform(0.1, 10.0)),
+           offset=st.floats(-5.0, 5.0), noise=log_uniform(1e-4, 3e-2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fit_residual_no_worse_than_least_squares(
+            self, gtr, ratio, offset, noise, seed):
+        # gamma_int = 0 (ratio 0), gamma_tr >> gamma_int, and both branches
+        gint = ratio * gtr
+        lw = gtr + gint
+        w = self.WR + offset * lw + np.linspace(-20 * lw, 20 * lw, 401)
+        rng = np.random.default_rng(seed)
+        g = reflection_model(w, self.WR, gtr, gint) + noise * (
+            rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size))
+        got = squared_residual(w, g, fit_reflection(list(zip(w, g))))
+        want = squared_residual(w, g, least_squares_reflection_fit(w, g))
+        assert got <= want * (1.0 + 1e-9)
+
+    def test_no_line_coupling_rejected(self):
+        # gamma_tr = 0 reflects everything: |gamma| = 1 at every frequency
+        w = self.WR + np.linspace(-50e6, 50e6, 401)
+        g = reflection_model(w, self.WR, 0.0, 2e6)
+        assert np.abs(g) == pytest.approx(1.0, rel=0, abs=1e-15)
+        with pytest.raises((FitError, GridError)):
+            fit_reflection(list(zip(w, g)))
 
     def test_narrow_span_rejected(self):
         lw = 3e6
