@@ -44,11 +44,12 @@ _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 
-# Problems refined together by one loop.  The panel arrays grow with the
-# number of problems in flight, so this bounds peak memory when thousands
-# of integrals are requested; 64 keeps the loop's Python overhead per
-# problem small without a measurable rise in resident memory.
-_MAX_PROBLEMS = 64
+# First-round panels refined together by one loop.  The node arrays grow
+# with the panels in flight, so this bounds peak memory when thousands of
+# integrals are requested.  A loop takes as many problems as fit, at least
+# one: 13 F(E) problems with their 36 breakpoints each, or all the pieces
+# of a ramp, which have none.
+_MAX_PANELS = 512
 
 
 class QuadResult(NamedTuple):
@@ -130,8 +131,9 @@ def adaptive_quad(f: Callable, a, b, *,
     pts = np.broadcast_to(pts, (lo.size, pts.shape[-1] if pts.ndim else 1))
     value = np.zeros(lo.size)
     error = np.zeros(lo.size)
-    for start in range(0, lo.size, _MAX_PROBLEMS):
-        sl = slice(start, start + _MAX_PROBLEMS)
+    step = max(1, _MAX_PANELS // (pts.shape[1] + 1))
+    for start in range(0, lo.size, step):
+        sl = slice(start, start + step)
         value[sl], error[sl] = _refine(f, lo[sl], hi[sl], pts[sl], start,
                                        batch, epsrel, max_panels)
     if batch:

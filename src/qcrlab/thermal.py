@@ -10,6 +10,7 @@ temperature gives the differential response 1/(1 + a T0^3).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError
@@ -75,11 +76,21 @@ def steady_state(net: ThermalNetwork, t_b: float) -> float:
     bound ``sqrt(balance(0) / coeff)`` (the balance is ``-ep t_a^5 <= 0``
     there).  Newton's method from that bound falls monotonically onto the
     root, and stops when an iterate no longer decreases.
+
+    Raises ``ConvergenceError`` when ``balance(0)`` is below the smallest
+    normal float, as for a photon-only island at ``t_b`` below about
+    2e-148 K: the heat flows underflow there, and no root could be
+    resolved to full relative accuracy.
     """
     if t_b <= 0:
         raise ValueError("island-B temperature must be positive")
     ep = net.ep_sigma * net.volume
-    t_a = math.sqrt(_balance(0.0, net, t_b) / _PHOTON_COEFF)
+    load = _balance(0.0, net, t_b)
+    if not load >= sys.float_info.min:
+        raise ConvergenceError(
+            f"heat balance underflows for t_b={t_b}, t0={net.t0}: its "
+            f"loads at t_a = 0 sum to {load:.3e} W")
+    t_a = math.sqrt(load / _PHOTON_COEFF)
     for _ in range(200):
         f = _balance(t_a, net, t_b)
         if not f < 0:

@@ -18,7 +18,7 @@ from scipy.special import expit
 from qcrlab import (DeviceConfig, JunctionParams, adaptive_quad, dos, fermi,
                     forward_rate, junction)
 from qcrlab.errors import QuadratureError
-from qcrlab.quadrature import _MAX_PROBLEMS
+from qcrlab.quadrature import _MAX_PANELS
 from qcrlab.units import K_B, PLANCK, uev_to_joule
 
 DELTA = uev_to_joule(215.0)
@@ -151,9 +151,10 @@ class TestBatchedForwardRate:
     @pytest.mark.parametrize("temp", [0.1, 0.0])
     def test_batch_matches_scalar_bitwise(self, temp):
         # shuffled, with repeats and sign flips, longer than one batch
+        # (each problem has at least one first-round panel)
         j = make_j(temp=temp)
         rng = np.random.default_rng(7)
-        e = rng.uniform(-3.0, 3.0, 2 * _MAX_PROBLEMS + 3) * DELTA
+        e = rng.uniform(-3.0, 3.0, _MAX_PANELS + 3) * DELTA
         e = np.concatenate([e, e[:10], -e[10:20], [0.0]])
         rng.shuffle(e)
         batch = forward_rate(e, j)
@@ -235,16 +236,16 @@ class TestBatchedForwardRate:
                 rates, [forward_rate(float(x), j) for x in e])
 
     def test_failure_names_the_energy(self, monkeypatch):
-        # 36 panels suffice at and above the gap (at most 32 needed) but
-        # not at 0.8 delta (40 needed)
+        # well above the gap the first round's 37 panels converge, with no
+        # split; 40 panels do not suffice at 0.7 delta (45 needed)
         monkeypatch.setattr(junction, "adaptive_quad",
-                            functools.partial(adaptive_quad, max_panels=36))
+                            functools.partial(adaptive_quad, max_panels=40))
         j = make_j()
-        bad = 0.8 * DELTA
+        bad = 0.7 * DELTA
         with pytest.raises(QuadratureError) as alone:
             forward_rate(bad, j)
         with pytest.raises(QuadratureError) as batch:
-            forward_rate(np.array([1.5, -1.0, 0.8, 2.5]) * DELTA, j)
+            forward_rate(np.array([1.5, -2.0, 0.7, 2.5]) * DELTA, j)
         assert f"E = {bad!r} J" in str(batch.value)
         assert batch.value.problem == 2
         assert batch.value.achieved == alone.value.achieved
@@ -252,10 +253,10 @@ class TestBatchedForwardRate:
     def test_interpolant_failure_names_a_requested_energy(self,
                                                            monkeypatch):
         # enough energies to build the interpolant, whose first round
-        # already fails near 0.8 delta; the error must still name an
+        # already fails below the gap edge; the error must still name an
         # energy of the call, indexed in the caller's array
         monkeypatch.setattr(junction, "adaptive_quad",
-                            functools.partial(adaptive_quad, max_panels=36))
+                            functools.partial(adaptive_quad, max_panels=40))
         junction._published_bases.cache_clear()
         j = make_j()
         e = np.append(np.linspace(-3.0, 3.0, 399), 0.8) * DELTA
@@ -268,6 +269,58 @@ class TestBatchedForwardRate:
             [], [str(batch.value.problem)])
         with pytest.raises(QuadratureError):
             forward_rate(named, j)
+
+
+class TestDirectQuadrature:
+    """The direct path, which serves every call of fewer than 25 |E|."""
+
+    def test_gap_edge_meets_epsrel(self):
+        # near the gap edge the Kronrod error estimate is optimistic unless
+        # the panels resolve the edge; here it once fell 5 epsrel short
+        j = JunctionParams(delta=DELTA, dynes=5.29e-5, r_t=15e3,
+                           temp_n=0.2765)
+        e = np.array([0.9518 * DELTA])
+        np.testing.assert_allclose(junction._rate_at_temperature(e, j, 1e-9),
+                                   junction._rate_at_temperature(e, j, 1e-12),
+                                   rtol=1e-9, atol=0.0)
+
+    @settings(max_examples=40)
+    @given(st.floats(150.0, 250.0), st.floats(0.01, 0.3),
+           st.one_of(st.just(0.0), st.floats(-6.0, -3.0)),
+           st.sampled_from([1e-9, 1e-11]),
+           st.lists(st.one_of(st.floats(0.0, 3.0), st.floats(0.9, 1.1)),
+                    min_size=1, max_size=24))
+    def test_within_epsrel_of_converged_integral(self, gap_uev, temp,
+                                                 log_dynes, epsrel, xs):
+        # random junctions, energies crowded around the gap edge
+        dynes = 0.0 if log_dynes == 0.0 else 10.0**log_dynes
+        j = JunctionParams(delta=uev_to_joule(gap_uev), dynes=dynes,
+                           r_t=15e3, temp_n=temp)
+        e = np.array(xs) * j.delta
+        np.testing.assert_allclose(
+            junction._rate_at_temperature(e, j, epsrel),
+            junction._rate_at_temperature(e, j, epsrel / 1000),
+            rtol=epsrel, atol=0.0)
+
+    @pytest.mark.parametrize("temp", [0.01, 0.1])
+    def test_scalar_call_takes_at_most_two_rounds(self, temp, monkeypatch):
+        # breakpoints graded toward the gap edge and the Fermi kink resolve
+        # both in the first Kronrod pass, leaving at most one round of
+        # bisection
+        calls = []
+
+        def quad(f, *args, **kwargs):
+            def integrand(x):
+                calls.append(1)
+                return f(x)
+            return adaptive_quad(integrand, *args, **kwargs)
+
+        monkeypatch.setattr(junction, "adaptive_quad", quad)
+        j = make_j(temp=temp)
+        for x in np.linspace(-3.0, 3.0, 61):
+            calls.clear()
+            forward_rate(x * DELTA, j, epsrel=1e-9)
+            assert len(calls) <= 2, x
 
 
 def one_by_one(e, j, epsrel):
@@ -296,10 +349,10 @@ class TestInterpolatedForwardRate:
         junction._published_bases.cache_clear()
         got = forward_rate(e, j, epsrel=epsrel)
         assert junction.interpolant_size(j, epsrel)[0] > 0
-        # the reference is converged well below epsrel: at epsrel itself
-        # the direct quadrature misses by up to about 6 epsrel near the
-        # gap edge.  Below the smallest normal float, where detailed
-        # balance takes E < 0 to, no relative accuracy is left.
+        # the reference is converged well below epsrel, so the whole
+        # budget is the interpolant's.  Below the smallest normal float,
+        # where detailed balance takes E < 0 to, no relative accuracy is
+        # left.
         np.testing.assert_allclose(got, one_by_one(e, j, epsrel / 100),
                                    rtol=epsrel, atol=np.finfo(float).tiny)
 
@@ -350,6 +403,15 @@ class TestInterpolatedForwardRate:
         nodes = junction.interpolant_size(j, epsrel)[1]
         assert nodes > 140
         assert sum(integrated) == nodes
+
+    def test_cold_build_skips_rejected_parents(self):
+        # bases 0 and 1 at 10 mK start from panels halving toward their
+        # kinks and integrate 500 node energies; bisected from the whole
+        # intervals, the parents they reject would add 350
+        j = make_j(temp=0.01)
+        junction._published_bases.cache_clear()
+        forward_rate(np.linspace(0.0, 2.0, self.SIZE) * DELTA, j)
+        assert junction.interpolant_size(j, 1e-11)[1] <= 550
 
     def test_panels_do_not_depend_on_the_first_call(self):
         j = make_j()

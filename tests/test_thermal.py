@@ -199,6 +199,17 @@ class TestNewtonAgainstBrentq:
         # a photon-only island follows island B, however cold
         assert steady_state(ThermalNetwork(t0=0.1), 1e-13) == 1e-13
 
+    def test_underflowing_balance_raises_naming_t_b(self):
+        # every heat flow of a photon-only island at 1e-160 K underflows,
+        # so no root is returned rather than 0.0
+        net = ThermalNetwork(t0=0.1)
+        for t_b in (1e-160, 1e-150):
+            with pytest.raises(ConvergenceError, match=f"t_b={t_b!r}"):
+                steady_state(net, t_b)
+        # just above the underflow the root keeps full relative accuracy
+        for t_b in (3e-148, 1e-147, 1e-120):
+            assert steady_state(net, t_b) == pytest.approx(t_b, rel=2.3e-16)
+
     def test_iteration_cap_raises(self, monkeypatch):
         # a balance that is positive at 0 and never vanishes after it
         monkeypatch.setattr(thermal, "_balance",
