@@ -18,8 +18,11 @@ ints, and integer literals beyond int64 are read as floats; ``NaN``,
 ``Infinity``, ``-Infinity`` and number literals beyond the double range,
 such as ``1e999``, are rejected.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error.
-Set ``QCRLAB_LOG`` (DEBUG/INFO/WARNING/ERROR) to control logging.
+Exit codes: 0 success, 2 configuration error, 3 numeric error.  A failed
+run prints one ``config error:`` or ``numeric error:`` line to stderr and
+writes nothing: a config that is not UTF-8 JSON, an unreadable input
+table and an output path that cannot be written as a file are
+configuration errors, each found before anything is written.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ import argparse
 import copy
 import functools
 import json
-import logging
 import math
 import operator
-import os
 import sys
 from importlib import resources
 from typing import NamedTuple
@@ -43,10 +44,9 @@ from . import thermal as thermal_mod
 from .errors import ConfigError, GridError, QcrlabError
 from .junction import DeviceConfig, JunctionParams, interpolant_size
 from .spectrum import DriveState, ModeParams
-from .tableio import ensure_parent_dir, read_table, write_sidecar, write_table
+from .tableio import (ensure_parent_dir, read_table, write_json,
+                      write_sidecar, write_table)
 from .units import E_CHARGE, K_B, ghz_to_omega, uev_to_joule
-
-log = logging.getLogger("qcrlab")
 
 _TWO_PI = 2.0 * math.pi
 
@@ -274,14 +274,17 @@ def _config_int(text: str) -> int | float:
 def load_and_validate(path: str) -> dict:
     """Parse, validate, and default-fill a run configuration."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh, parse_float=_finite_float,
                             parse_int=_config_int,
                             parse_constant=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") \
+            from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _validate(cfg)
@@ -597,9 +600,7 @@ def _run_calibrate(cfg: dict, out: str, seed: int) -> dict:
             "gamma_int_per_s": gint,
         }
 
-    with open(out, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out, payload)
     return {"n_samples": len(samples)}
 
 
@@ -615,19 +616,9 @@ _COMMANDS = {
 }
 
 
-def _setup_logging() -> None:
-    name = os.environ.get("QCRLAB_LOG", "WARNING").upper()
-    level = getattr(logging, name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def run(cfg: dict, out: str, threads: int, seed: int) -> None:
     """Execute a validated, default-filled configuration."""
     command = cfg["command"]
-    log.info("running %s -> %s", command, out)
     if command == "calibrate":
         extra = _run_calibrate(cfg, out, seed)
     else:
@@ -641,11 +632,9 @@ def run(cfg: dict, out: str, threads: int, seed: int) -> None:
     }
     sidecar.update(extra)
     write_sidecar(out, sidecar)
-    log.info("wrote %s", out)
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = argparse.ArgumentParser(
         prog="qcrlab",
         description="Tunable-environment sweeps for junction-cooled "
@@ -677,24 +666,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--threads must be at least 1")
         if args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
-    except ConfigError as exc:
-        log.error("%s", exc)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         run(cfg, cfg["out"], args.threads, args.seed)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        log.error("%s", exc)
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (QcrlabError, ZeroDivisionError, FloatingPointError,
             OverflowError) as exc:
-        log.error("%s", exc)
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     return 0

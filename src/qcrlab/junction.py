@@ -213,8 +213,7 @@ def _published_bases(p: JunctionParams, epsrel: float) -> dict:
 
     Base 0 is ``[0, delta]`` and base k > 0 is ``[2^(k-1), 2^k] delta``.
     Every base is refined on its own, so extending the domain never
-    changes a base already built.  Threads may build a base twice; both
-    builds are identical and a base is stored whole, so no lock is needed.
+    changes a base already built; a base is stored only once complete.
     """
     return {}
 
@@ -343,7 +342,7 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     about ``epsrel`` relative.  Panels are cached per ``(p, epsrel)`` on
     fixed dyadic intervals, and a missing interval is built whole, from
     panels halving toward its kinks at 0 and delta, so what a call returns
-    depends only on its input, never on earlier calls or threads.  A call
+    depends only on its input, never on earlier calls.  A call
     integrates directly when a node rate of its intervals underflows or a
     node quadrature fails.
 

@@ -131,7 +131,7 @@ def fit_output_power(samples: Sequence[tuple[float, float]]
     if not np.isfinite(arr).all():
         raise ValueError("samples must be finite")
     v, p = arr[:, 0], arr[:, 1]
-    if len(v) < 3 or len(np.unique(v)) < 3:
+    if len(set(v.tolist())) < 3:
         raise FitError("need at least three distinct bias points")
     if np.any(v <= 0):
         raise ValueError("bias points must be positive")
@@ -250,7 +250,9 @@ def fit_reflection(trace: Sequence[tuple[float, complex]]
     span = omega[-1] - omega[0]
     if linewidth <= 0 or span < 5.0 * linewidth:
         raise GridError("trace must span at least five linewidths")
-    if linewidth < 2.0 * float(np.median(np.diff(omega))):
+    # twice the median step, without np.median, which imports numpy.ma
+    steps = np.sort(np.diff(omega))
+    if linewidth < steps[(len(steps) - 1) // 2] + steps[len(steps) // 2]:
         raise GridError("linewidth unresolved by the frequency grid")
     return wr, gtr, gint
 
@@ -315,9 +317,13 @@ def source_sweep_point(v, src: PhotonSourceParams,
 def calibration_pipeline(samples: Sequence[tuple[float, float]],
                          p_out_zero: float, cp: CalibrationParams,
                          bw: float) -> CalibrationRecord:
-    """Fit the output-power sweep and derive chain gain and noise."""
+    """Fit the output-power sweep and derive chain gain and noise; a
+    fitted slope that gives no positive gain is a ``FitError``."""
     a, b, c, rms = fit_output_power(samples)
     g = gain_from_fit(a, cp)
+    if not g > 0:
+        raise FitError(f"fitted slope a = {a!r} W/V gives a chain gain of "
+                       f"{g!r}, not a positive one")
     tn = noise_temperature(p_out_zero, g, bw)
     return CalibrationRecord(a=a, b=b, c=c, gain=g, t_noise=tn, residual=rms)
 

@@ -233,8 +233,7 @@ def _sideband_overlaps(rho: float, fock_cut: int,
 
     One pair per ``s`` in ``-l_max..l_max``, in that order.  The overlaps
     do not depend on the drive strength, so a drive sweep computes them
-    once; the arrays are shared between calls and threads, hence
-    read-only.
+    once; the arrays are shared between calls, hence read-only.
     """
     table = _overlap_sq(fock_cut, np.arange(l_max + 1), rho)
     table.flags.writeable = False

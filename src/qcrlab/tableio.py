@@ -55,23 +55,25 @@ def read_table(path: str) -> Table:
     comments: list[str] = []
     rows: list[list[float]] = []
     try:
-        fh = open(path, "r", newline="")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(
             f"cannot read table {path!r}: {exc.strerror or exc}") from exc
-    with fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: malformed data line {line!r}") \
-                    from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+            continue
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed data line {line!r}") \
+                from exc
     if not comments:
         raise ConfigError(f"{path}: missing '#' column header")
     columns = [c.strip() for c in comments[-1].split(",")]
@@ -84,16 +86,26 @@ def read_table(path: str) -> Table:
                  comments=comments[:-1])
 
 
+def write_json(path: str, payload: Mapping) -> None:
+    """Write ``payload`` as indented, key-sorted JSON and a final newline."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_sidecar(path: str, resolved: Mapping) -> str:
     """Write `<path>.meta.json` with the fully-resolved run parameters."""
     meta_path = path + ".meta.json"
-    with open(meta_path, "w", newline="\n") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, resolved)
     return meta_path
 
 
 def ensure_parent_dir(path: str) -> None:
+    """ConfigError unless ``path`` and its sidecar can be written as files:
+    the directory must exist, and neither may be a directory itself."""
     parent = os.path.dirname(os.path.abspath(path))
     if parent and not os.path.isdir(parent):
         raise ConfigError(f"output directory does not exist: {parent}")
+    for target in (path, path + ".meta.json"):
+        if os.path.isdir(target):
+            raise ConfigError(f"output path is a directory: {target}")

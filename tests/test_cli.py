@@ -1,14 +1,20 @@
 """End-to-end command-line tests: JSON config in, CSV + sidecar out."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import constants as sc
 
 import qcrlab
@@ -776,23 +782,160 @@ class TestDiffCommand:
         assert "numeric error:" in capsys.readouterr().err
 
 
-class TestLoggingEnv:
-    def test_log_level_env_is_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QCRLAB_LOG", "DEBUG")
-        path = fast_sweep_cfg(tmp_path)
-        assert main(["--config", path,
-                     "--out", str(tmp_path / "log.csv")]) == 0
-        monkeypatch.setenv("QCRLAB_LOG", "not-a-level")
-        assert main(["--config", path,
-                     "--out", str(tmp_path / "log2.csv")]) == 0
+class TestOneFailureLine:
+    """A failed run prints one line naming what failed and writes nothing."""
+
+    def fails(self, capsys, args, out, named, code=2):
+        assert main(args) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        kind = "config" if code == 2 else "numeric"
+        assert err[0].startswith(f"{kind} error: ")
+        assert named in err[0]
+        assert not os.path.isfile(out)
+        assert not os.path.isfile(out + ".meta.json")
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(small_config("thermal.json")).encode() + b"\xff",
+        b"[" * 100_000 + b"]" * 100_000], ids=["byte-0xff", "deep-nesting"])
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        out = str(tmp_path / "x.csv")
+        self.fails(capsys, ["--config", str(path), "--out", out], out,
+                   str(path))
+
+    @pytest.mark.parametrize("directory", ["x.csv", "x.csv.meta.json"])
+    def test_directory_in_place_of_output_exits_2(self, tmp_path, capsys,
+                                                  monkeypatch, directory):
+        def never(*args):
+            raise AssertionError("run was entered")
+
+        monkeypatch.setattr(cli, "run", never)
+        (tmp_path / directory).mkdir()
+        path = dump_cfg(tmp_path, small_config("thermal.json"))
+        out = str(tmp_path / "x.csv")
+        self.fails(capsys, ["--config", path, "--out", out], out,
+                   str(tmp_path / directory))
+        assert list((tmp_path / directory).iterdir()) == []
+
+    def test_undecodable_input_table_exits_2(self, tmp_path, capsys):
+        pa, pb = TestDiffCommand().write_pair(tmp_path)
+        with open(pb, "ab") as fh:
+            fh.write(b"\xff\n")
+        cfg = {"command": "diff-lamb", "csv_a": pa, "csv_b": pb}
+        out = str(tmp_path / "diff.csv")
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out, pb)
+
+    @pytest.mark.parametrize("seed", ["2", "5"])
+    def test_negative_fitted_gain_exits_3(self, tmp_path, capsys, seed):
+        # noise this strong tilts the fitted slope of the synthetic sweep
+        # below zero: the fit failed, the config is sound
+        cfg = small_config("calibrate.json")
+        cfg["synthesize"]["noise_sigma_w"] = 1e-6
+        out = str(tmp_path / "cal.json")
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg), "--out", out,
+                            "--seed", seed], out, "fitted slope a = -", code=3)
+
+    @pytest.mark.parametrize("code", [2, 3])
+    def test_fresh_process_prints_one_line(self, tmp_path, code):
+        # in a fresh interpreter nothing but main writes to stderr
+        cfg = small_config("calibrate.json")
+        if code == 3:
+            cfg["synthesize"]["noise_sigma_w"] = 1e-6
+        else:
+            cfg["synthesize"]["bias_max"] = 1.0
+        src = str(Path(qcrlab.__file__).resolve().parent.parent)
+        res = subprocess.run(
+            [sys.executable, "-m", "qcrlab", "--config",
+             dump_cfg(tmp_path, cfg), "--out", str(tmp_path / "cal.json"),
+             "--seed", "2"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        assert res.returncode == code
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+# fields a property run draws, each within its schema bounds: block ->
+# key -> strategy.  Grid ends are drawn as fractions of the shipped span.
+FUZZED = {
+    "junction": {"temp_n_k": st.floats(0.0, 0.5),
+                 "delta_uev": st.floats(50.0, 400.0)},
+    "calibration": {"delta_uev": st.floats(50.0, 400.0)},
+    "thermal": {"t0_k": st.floats(0.0, 0.5, exclude_min=True)},
+    "synthesize": {"noise_sigma_w": st.floats(0.0, 1e-6)},
+}
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """(config, seed, shift) of a small schema-valid run of any command.
+    A diff-lamb config gets its tables from ``TestDiffCommand.write_pair``
+    with grid shift ``shift``."""
+    name = draw(st.sampled_from(sorted(SMALL_RUNS) + ["diff-lamb"]))
+    if name == "diff-lamb":
+        return {"command": "diff-lamb"}, 0, draw(st.sampled_from([1.0, 1.01]))
+    cfg = small_config(name)
+    for block, fields in FUZZED.items():
+        for key, values in fields.items():
+            if block in cfg and draw(st.booleans()):
+                cfg[block][key] = draw(values)
+    for block in ("grid", "flux"):
+        if block in cfg and draw(st.booleans()):
+            start, stop = cfg[block]["start"], cfg[block]["stop"]
+            span = stop - start or 1.0
+            ends = st.floats(-0.5, 1.5)
+            cfg[block].update(start=start + span * draw(ends),
+                              stop=start + span * draw(ends))
+    return cfg, draw(st.integers(0, 2 ** 32 - 1)), 1.0
+
+
+class TestCliProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(fuzzed_runs())
+    def test_exit_code_output_and_rerun(self, run):
+        cfg, seed, shift = run
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if cfg["command"] == "diff-lamb":
+                cfg["csv_a"], cfg["csv_b"] = TestDiffCommand().write_pair(
+                    tmp, shift)
+            args = ["--config", dump_cfg(tmp, cfg), "--out",
+                    str(tmp / "x.csv"), "--seed", str(seed)]
+            out, meta = tmp / "x.csv", tmp / "x.csv.meta.json"
+
+            def run():
+                # the first run starts from empty caches, as a fresh
+                # process does; the rerun reads what the first one cached
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")
+                    code = main(args)
+                # a warning reaches stderr as lines of its own
+                return code, err.getvalue().splitlines() + caught
+
+            junction._published_bases.cache_clear()
+            spectrum._sideband_overlaps.cache_clear()
+            code, err = run()
+            assert code in (0, 2, 3)
+            if code:
+                assert len(err) == 1, err
+                assert not out.exists() and not meta.exists()
+                return
+            blobs = out.read_bytes(), meta.read_bytes()
+            assert run()[0] == 0
+            assert (out.read_bytes(), meta.read_bytes()) == blobs
 
 
 class TestStartup:
     def test_cli_import_defers_scipy_submodules(self, tmp_path):
         # a fresh interpreter: this process has long imported everything.
         # scipy is blocked there, so importing any of it fails.  None of
-        # these commands may load scipy, jsonschema or concurrent.futures,
-        # and only a noisy calibrate numpy.random.
+        # these commands may load scipy, jsonschema, concurrent.futures,
+        # logging or numpy.ma, and only a noisy calibrate numpy.random.
         src = str(Path(qcrlab.__file__).resolve().parent.parent)
         path = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -825,11 +968,13 @@ class TestStartup:
         probe = (
             "import json, sys\n"
             "sys.modules['scipy'] = None\n"
+            "BLOCKED = ('scipy', 'jsonschema', 'logging',\n"
+            "           'concurrent.futures', 'numpy.random', 'numpy.ma')\n"
             "def loaded():\n"
             "    return sorted(m for m, mod in sys.modules.items()\n"
-            "                  if mod is not None and (m.partition('.')[0]\n"
-            "                  in ('scipy', 'jsonschema') or m.startswith(\n"
-            "                      ('concurrent.futures', 'numpy.random'))))\n"
+            "                  if mod is not None and any(\n"
+            "                      m == b or m.startswith(b + '.')\n"
+            "                      for b in BLOCKED))\n"
             "import qcrlab\n"
             "report = {'qcrlab': loaded()}\n"
             "import qcrlab.cli, qcrlab.dynamics\n"
@@ -845,7 +990,7 @@ class TestStartup:
         report = json.loads(res.stdout)
         code, modules = report.pop("calibrate")
         assert code == 0 and modules
-        assert all(m.startswith("numpy.random") for m in modules)
+        assert all(m.startswith("numpy.random") for m in modules), report
         assert report == {
             "qcrlab": [], "qcrlab.cli": [], "solve_ivp": True,
             **{name: [0, []] for name in runs if name != "calibrate"}}

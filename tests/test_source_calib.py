@@ -305,6 +305,21 @@ class TestReflection:
         with pytest.raises(GridError):
             fit_reflection(trace)
 
+    # the linewidth must span two median frequency steps; two wide steps
+    # in each wing move the mean step past that, not the median
+    @pytest.mark.parametrize("core, resolved", [(80, False), (82, True)])
+    def test_linewidth_against_median_step(self, core, resolved):
+        lw = 3e6
+        x = np.concatenate([[-40.0, -30.0], np.linspace(-20.0, 20.0, core),
+                            [30.0, 40.0]])
+        w = self.WR + lw * x
+        trace = list(zip(w, reflection_model(w, self.WR, 2e6, 1e6)))
+        if resolved:
+            assert fit_reflection(trace)[1] == pytest.approx(2e6, rel=1e-6)
+        else:
+            with pytest.raises(GridError, match="linewidth unresolved"):
+                fit_reflection(trace)
+
     @pytest.mark.parametrize("bad", [complex(math.nan, 0.0),
                                      complex(0.0, math.inf)])
     def test_nonfinite_trace_rejected(self, bad):
@@ -401,6 +416,18 @@ class TestPipeline:
         assert rec.residual < 1e-18
         d = rec.as_dict()
         assert set(d) == {"a", "b", "c", "gain", "t_noise", "residual"}
+
+    def test_nonpositive_gain_is_a_fit_error(self):
+        # a falling output-power sweep fits a negative slope
+        cp = make_cal()
+        v = np.linspace(5, 20, 50) * 2.0 * cp.delta / sc.e
+        samples = list(zip(v, 1e-9 - 1e-8 * v))
+        a = fit_output_power(samples)[0]
+        with pytest.raises(FitError, match=f"fitted slope a = {a!r} W/V"):
+            calibration_pipeline(samples, 1e-12, cp, 1e6)
+        # the library's own check stays a parameter error
+        with pytest.raises(ValueError, match="gain must be positive"):
+            noise_temperature(1e-12, gain_from_fit(a, cp), 1e6)
 
     def test_record_rejects_negative_residual(self):
         from qcrlab.source_calib import CalibrationRecord

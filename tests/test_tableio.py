@@ -83,6 +83,12 @@ class TestMalformedInput:
         with pytest.raises(ConfigError):
             read_table(str(path))
 
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"# x, y\n1.0,2.0\xff\n")
+        with pytest.raises(ConfigError, match=f"{path}: not UTF-8 text"):
+            read_table(str(path))
+
     def test_no_data_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# x, y\n")
@@ -109,3 +115,10 @@ class TestSidecar:
         ensure_parent_dir(str(tmp_path / "fine.csv"))
         with pytest.raises(ConfigError):
             ensure_parent_dir(str(tmp_path / "missing" / "out.csv"))
+
+    @pytest.mark.parametrize("directory", ["out.csv", "out.csv.meta.json"])
+    def test_directory_outputs_rejected(self, tmp_path, directory):
+        (tmp_path / directory).mkdir()
+        with pytest.raises(ConfigError, match="output path is a directory: "
+                           + str(tmp_path / directory)):
+            ensure_parent_dir(str(tmp_path / "out.csv"))
