@@ -83,7 +83,7 @@ _DEFAULTS: dict[str, dict] = {
     },
     "thermal": {
         "thermal": {"p_const_w": 0.0, "ep_sigma_w_m3_k5": 0.0,
-                    "volume_m3": 0.0, "a_coeff": None},
+                    "volume_m3": 0.0},
     },
     "diff-lamb": {},
 }
@@ -288,11 +288,12 @@ def load_and_validate(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _validate(cfg)
+    # the defaults are schema-valid constants, so merging them in keeps
+    # the config valid
     resolved = _merge(_DEFAULTS.get(cfg["command"], {}), cfg)
     if "synthesize" in resolved:
         resolved["synthesize"] = _merge(_SYNTH_DEFAULTS,
                                         resolved["synthesize"])
-    _validate(resolved)
     return _canonical(resolved, _schema())
 
 
@@ -528,8 +529,7 @@ def _cmd_thermal(cfg: dict) -> tuple:
     net = thermal_mod.ThermalNetwork(t0=blk["t0_k"],
                                      p_const=blk["p_const_w"],
                                      ep_sigma=blk["ep_sigma_w_m3_k5"],
-                                     volume=blk["volume_m3"],
-                                     a_coeff=blk["a_coeff"])
+                                     volume=blk["volume_m3"])
 
     def point(tb: float) -> list[float]:
         ta = thermal_mod.steady_state(net, tb)

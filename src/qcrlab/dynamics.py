@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -186,23 +186,22 @@ class LadderTrajectory:
 
 
 class DcRateSource:
-    """Memoised bias -> directed junction rates adapter."""
+    """Memoised bias -> directed junction rates adapter.
+
+    Each distinct bias costs one ``transition_rates`` call, looked up in
+    this module at call time, so a wrapper installed there sees it.
+    """
 
     def __init__(self, mode: ModeParams, j: JunctionParams, dev: DeviceConfig,
                  *, epsrel: float = 1e-11):
-        self._mode = mode
-        self._j = j
-        self._dev = dev
-        self._epsrel = epsrel
-        self._cache: dict[float, RatePair] = {}
+        @cache
+        def rates(v: float) -> RatePair:
+            return transition_rates(v, mode, j, dev, epsrel=epsrel)
+
+        self._rates = rates
 
     def __call__(self, v: float) -> RatePair:
-        r = self._cache.get(v)
-        if r is None:
-            r = transition_rates(v, self._mode, self._j, self._dev,
-                                 epsrel=self._epsrel)
-            self._cache[v] = r
-        return r
+        return self._rates(v)
 
 
 def _relax(n_a: float, up: float, net: float, u):

@@ -52,7 +52,10 @@ class JunctionParams:
     r_t:
         Tunnelling resistance (ohm).
     temp_n:
-        Electron temperature of the normal-metal electrode (K).
+        Electron temperature of the normal-metal electrode (K): zero, or
+        at least ``2**-30 * delta / K_B`` (about 2.2 nK at 200 ueV).  Below
+        that floor the thermal kernel is narrower than the energies
+        resolve, and the quadrature of F(E) misses it.
     """
 
     delta: float
@@ -69,6 +72,11 @@ class JunctionParams:
             raise ValueError("tunnelling resistance must be positive")
         if self.temp_n < 0:
             raise ValueError("electron temperature must be nonnegative")
+        if self.temp_n > 0 and K_B * self.temp_n < 2.0**-30 * self.delta:
+            raise ValueError(
+                f"temp_n = {self.temp_n!r} K is below the resolvable floor "
+                f"2**-30 delta / K_B = {2.0**-30 * self.delta / K_B:.3g} K; "
+                "use temp_n = 0 for the zero-temperature limit")
 
 
 @dataclass(frozen=True)

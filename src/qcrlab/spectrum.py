@@ -22,7 +22,6 @@ excitation).  Since F is monotone, ``down >= up`` always holds here.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
@@ -226,28 +225,15 @@ def fock_matrix_sq(k: int, l: int, rho: float) -> float:
     return float(_overlap_sq(min(k, l), [abs(k - l)], rho)[0, -1])
 
 
-@functools.lru_cache(maxsize=8)
-def _sideband_overlaps(rho: float, fock_cut: int,
-                       l_max: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """Pairs ``(s, |<k - s| D(rho) |k>|^2 for k = max(s, 0)..fock_cut)``.
-
-    One pair per ``s`` in ``-l_max..l_max``, in that order.  The overlaps
-    do not depend on the drive strength, so a drive sweep computes them
-    once; the arrays are shared between calls, hence read-only.
-    """
-    table = _overlap_sq(fock_cut, np.arange(l_max + 1), rho)
-    table.flags.writeable = False
-    return tuple((s, table[abs(s), :max(fock_cut + 1 - max(s, 0), 0)])
-                 for s in range(-l_max, l_max + 1))
-
-
 def _sideband_weights(d: DriveState, rho: float) -> dict[int, np.ndarray]:
     """Drive-averaged weight of exchanging ``s`` supporting photons.
 
     w(s) = sum_k P_k |<k - s| D(rho) |k>|^2, the transition taking the
     supporting mode from Fock state k to k - s (s photons absorbed by
     the tunnelling electron).  Vacuum therefore carries no s > 0 weight.
-    One weight per entry of ``d.mean_n``, shaped like it.
+    One weight per entry of ``d.mean_n``, shaped like it.  The overlaps
+    do not depend on the drive strength; each call builds their table
+    once for all ``s``, and a drive sweep is one call.
     """
     pk = fock_distribution(np.arange(d.fock_cut + 1), d.mean_n,
                            d.distribution)
@@ -257,8 +243,12 @@ def _sideband_weights(d: DriveState, rho: float) -> dict[int, np.ndarray]:
             raise TruncationError(
                 f"fock_cut={d.fock_cut} keeps only {m:.10f} of the drive "
                 f"distribution at mean_n = {n!r}; raise the truncation")
-    return {s: np.sum(pk[..., max(s, 0):] * msq, axis=-1)
-            for s, msq in _sideband_overlaps(rho, d.fock_cut, d.l_max)}
+    # row |s| holds |<k - s| D(rho) |k>|^2 from k = max(s, 0) on
+    table = _overlap_sq(d.fock_cut, np.arange(d.l_max + 1), rho)
+    return {s: np.sum(pk[..., max(s, 0):]
+                      * table[abs(s), :max(d.fock_cut + 1 - max(s, 0), 0)],
+                      axis=-1)
+            for s in range(-d.l_max, d.l_max + 1)}
 
 
 def _directed_rates(v, hw_p, shifts: dict, hw_s: float,

@@ -27,7 +27,6 @@ class ThermalNetwork:
     p_const: float = 0.0         # constant heat load on island A (W)
     ep_sigma: float = 0.0        # electron-phonon constant (W m^-3 K^-5)
     volume: float = 0.0          # island-A normal-metal volume (m^3)
-    a_coeff: float | None = None  # optional override of the response constant
 
     def __post_init__(self):
         if self.t0 <= 0:
@@ -35,8 +34,6 @@ class ThermalNetwork:
         if self.p_const < 0 or self.ep_sigma < 0 or self.volume < 0:
             raise ValueError("loads and material constants must be "
                              "nonnegative")
-        if self.a_coeff is not None and self.a_coeff < 0:
-            raise ValueError("a_coeff must be nonnegative")
 
 
 def g_quantum(t: float) -> float:
@@ -48,8 +45,6 @@ def g_quantum(t: float) -> float:
 
 def a_coefficient(net: ThermalNetwork) -> float:
     """Cubic response constant: electron-phonon vs photon-channel stiffness."""
-    if net.a_coeff is not None:
-        return net.a_coeff
     return 30.0 * net.ep_sigma * net.volume * HBAR / (math.pi * K_B ** 2)
 
 

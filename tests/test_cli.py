@@ -334,7 +334,9 @@ class TestSweepRuns:
         assert open(out1, "rb").read() == open(out4, "rb").read()
 
     @pytest.mark.parametrize("name", ["sweep_bias.json", "lamb_shift.json",
-                                      "rf_sweep.json", "reset_sim.json"])
+                                      "rf_sweep.json", "reset_sim.json",
+                                      "source.json", "ep_map.json",
+                                      "thermal.json", "calibrate.json"])
     def test_reruns_and_thread_counts_write_identical_bytes(self, tmp_path,
                                                            name):
         cfg = load_example(name)
@@ -342,8 +344,10 @@ class TestSweepRuns:
         if name == "reset_sim.json":
             # a time grid in ns that crosses both ramps of the pulse
             cfg["grid"] = {"start": 0.0, "stop": 80.0, "points": 17}
-        else:
+        elif name in ("sweep_bias.json", "lamb_shift.json", "rf_sweep.json"):
             cfg["grid"] = {"start": 0.6, "stop": 1.1, "points": 5}
+        else:
+            cfg = small_config(name)
         if "spectrum" in cfg:
             cfg["spectrum"] = {"points": 301, "lo_factor": 0.02,
                                "hi_factor": 50.0, "epsrel": 1e-6}
@@ -352,12 +356,12 @@ class TestSweepRuns:
         meta = tmp_path / "out.csv.meta.json"
 
         def run(threads):
-            # start each run with no cached rf overlaps or F(E) interpolant,
-            # so that every run fills the caches it reads itself
-            spectrum._sideband_overlaps.cache_clear()
+            # start each run with no cached F(E) interpolant, so that every
+            # run fills the cache it reads itself; the seed draws the noise
+            # of a calibrate run
             junction._published_bases.cache_clear()
             assert main(["--config", path, "--out", str(out),
-                         "--threads", str(threads)]) == 0
+                         "--threads", str(threads), "--seed", "3"]) == 0
             return out.read_bytes(), meta.read_bytes()
 
         one = run(1)
@@ -828,6 +832,30 @@ class TestOneFailureLine:
         self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
                             "--out", out], out, pb)
 
+    def test_thermal_a_coeff_is_not_a_key(self, tmp_path, capsys):
+        # the response constant comes from the material constants only
+        cfg = small_config("thermal.json")
+        cfg["thermal"]["a_coeff"] = 123.5
+        out = str(tmp_path / "x.csv")
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out, "'a_coeff'")
+
+    def test_temperature_below_the_floor_exits_2(self, tmp_path, capsys):
+        cfg = load_example("sweep_bias.json")
+        cfg["junction"]["temp_n_k"] = 1e-30
+        out = str(tmp_path / "x.csv")
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out, "temp_n = 1e-30 K")
+
+    @pytest.mark.parametrize("temp", [0.0, 1e-8])
+    def test_zero_and_nanokelvin_temperatures_run(self, tmp_path, temp):
+        cfg = small_config("sweep_bias.json")
+        cfg["junction"]["temp_n_k"] = temp
+        out = tmp_path / "x.csv"
+        assert main(["--config", dump_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        assert np.isfinite(read_table(str(out)).data[:, 1:3]).all()
+
     @pytest.mark.parametrize("seed", ["2", "5"])
     def test_negative_fitted_gain_exits_3(self, tmp_path, capsys, seed):
         # noise this strong tilts the fitted slope of the synthetic sweep
@@ -918,7 +946,6 @@ class TestCliProperties:
                 return code, err.getvalue().splitlines() + caught
 
             junction._published_bases.cache_clear()
-            spectrum._sideband_overlaps.cache_clear()
             code, err = run()
             assert code in (0, 2, 3)
             if code:

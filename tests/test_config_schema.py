@@ -197,3 +197,29 @@ def test_schema_uses_only_implemented_keywords():
             assert sub["$ref"].startswith("#/$defs/"), sub["$ref"]
         for member in [*sub.get("enum", []), sub.get("const")]:
             assert not isinstance(member, (list, dict)), member
+
+
+def _without_defaults(cfg, defaults):
+    """``cfg`` less every key that ``defaults`` would fill in."""
+    return {k: (_without_defaults(v, defaults[k])
+                if isinstance(v, dict) and isinstance(defaults.get(k), dict)
+                else v)
+            for k, v in cfg.items()
+            if isinstance(defaults.get(k), dict) or k not in defaults}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("strip", [False, True])
+def test_resolved_configs_satisfy_the_schema(tmp_path, name, strip):
+    # load_and_validate checks the config it reads and merges constant
+    # defaults into it; the merged config must be valid as well, here
+    # also with every default filled in, synthesize's included
+    cfg = CONFIGS[name]
+    if strip:
+        defaults = {**cli._DEFAULTS[cfg["command"]],
+                    "synthesize": cli._SYNTH_DEFAULTS}
+        cfg = _without_defaults(cfg, defaults)
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    errors = list(ORACLE.iter_errors(cli.load_and_validate(str(path))))
+    assert not errors, errors

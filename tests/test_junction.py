@@ -460,6 +460,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             JunctionParams(delta=DELTA, dynes=1e-4, r_t=1e4, temp_n=-0.1)
 
+    @pytest.mark.parametrize("temp",
+                             [1e-9, 1e-16, 1e-17, 1e-30, 1e-300, 5e-324])
+    def test_rejects_temperatures_below_the_floor(self, temp):
+        # kT below 2**-30 delta: F(E) raised, came out up to 21 times too
+        # large, 0.0, or divided by zero
+        with pytest.raises(ValueError, match=r"^temp_n = .* temp_n = 0 "):
+            JunctionParams(delta=uev_to_joule(200.0), dynes=1e-4, r_t=1e4,
+                           temp_n=temp)
+
+    def test_above_the_floor_matches_zero_temperature(self):
+        delta = uev_to_joule(200.0)
+        floor = 2.0**-30 * delta / K_B
+        with pytest.raises(ValueError):
+            JunctionParams(delta, 1e-4, 1e4, 0.99 * floor)
+        e = np.array([0.5, 0.9, 1.1, 2.0]) * delta
+        cold, zero = (forward_rate(e, JunctionParams(delta, 1e-4, 1e4, t),
+                                   epsrel=1e-9)
+                      for t in (1e-8, 0.0))
+        np.testing.assert_allclose(cold, zero, rtol=1e-8)
+        JunctionParams(delta, 1e-4, 1e4, 1.01 * floor)
+
     @pytest.mark.parametrize("temp", [0.1, 0.0])
     @pytest.mark.parametrize("energies,bad", [
         ([math.inf], math.inf), ([math.nan], math.nan),

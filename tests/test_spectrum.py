@@ -1,8 +1,6 @@
 """Photon-exchange rates of junction-coupled modes, dc and driven."""
 
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -101,6 +99,17 @@ class TestLaguerreOverlaps:
         for s in range(-4, 1):
             assert w[s] == pytest.approx(
                 math.exp(-x) * x ** -s / math.factorial(-s), rel=1e-13)
+
+    def test_vacuum_column_closed_form(self):
+        # |<|s|| D(rho) |0>|^2 = e^-x x^|s| / |s|!, the first overlap of
+        # sideband s in the weights
+        for rho, fock_cut, l_max in [(0.3, 40, 5), (0.31, 40, 5),
+                                     (0.3, 60, 5), (0.3, 40, 3)]:
+            x = rho * rho
+            table = spectrum._overlap_sq(fock_cut, np.arange(l_max + 1), rho)
+            for s in range(l_max + 1):
+                assert table[s, 0] == pytest.approx(
+                    math.exp(-x) * x ** s / math.factorial(s), rel=1e-13)
 
     @settings(max_examples=10)
     @given(st.integers(0, 25), st.floats(0.0, 2.0))
@@ -332,74 +341,6 @@ class TestDrivenRates:
             gamma_rf(0.0, mode_p, mode_s,
                      DriveState(mean_n=50.0, fock_cut=40), junction_cold,
                      device, epsrel=EPS)
-
-
-class TestSidebandOverlapCache:
-    """Drive-independent overlaps, computed once per (rho, fock_cut, l_max)."""
-
-    def test_sweep_matches_cold_cache_bitwise(self, junction_cold, device):
-        wp = ghz_to_omega(8.8)
-        mode_p = ModeParams(omega=wp, impedance=35.0, alpha=0.5)
-        mode_s = ModeParams(omega=2 * wp, impedance=35.0, alpha=0.5)
-        drives = [DriveState(mean_n=n, fock_cut=120)
-                  for n in (0.0, 0.5, 3.0, 20.0)]
-
-        def rates(d):
-            return rf_transition_rates(0.0, mode_p, mode_s, d, junction_cold,
-                                       device, epsrel=EPS)
-
-        spectrum._sideband_overlaps.cache_clear()
-        warm = [rates(d) for d in drives]
-        assert spectrum._sideband_overlaps.cache_info().misses == 1
-        for d, r in zip(drives, warm):
-            spectrum._sideband_overlaps.cache_clear()
-            assert rates(d) == r
-
-    def test_distinct_keys_do_not_collide(self):
-        keys = [(0.3, 40, 5), (0.31, 40, 5), (0.3, 60, 5), (0.3, 40, 3)]
-        spectrum._sideband_overlaps.cache_clear()
-        tables = [spectrum._sideband_overlaps(*k) for k in keys]
-        assert spectrum._sideband_overlaps(*keys[0]) is tables[0]
-        assert spectrum._sideband_overlaps.cache_info().currsize == len(keys)
-        for (rho, cut, l_max), table in zip(keys, tables):
-            x = rho * rho
-            assert [s for s, _ in table] == list(range(-l_max, l_max + 1))
-            for s, msq in table:
-                assert len(msq) == cut + 1 - max(s, 0)
-                # first entry pairs the vacuum with Fock state |s|
-                assert msq[0] == pytest.approx(
-                    math.exp(-x) * x ** abs(s) / math.factorial(abs(s)),
-                    rel=1e-13)
-
-    def test_threads_filling_the_cache_agree(self):
-        keys = [(0.3, 200, 5), (0.45, 200, 5), (0.3, 90, 2)]
-        drive = DriveState(mean_n=4.0, fock_cut=200)
-        spectrum._sideband_overlaps.cache_clear()
-        ref = [spectrum._sideband_weights(replace(drive, fock_cut=cut,
-                                                  l_max=l_max), rho)
-               for rho, cut, l_max in keys]
-        spectrum._sideband_overlaps.cache_clear()
-        jobs = [i % len(keys) for i in range(48)]
-
-        def job(i):
-            rho, cut, l_max = keys[i]
-            return spectrum._sideband_weights(
-                replace(drive, fock_cut=cut, l_max=l_max), rho)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(job, i) for i in jobs]
-                got = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(old)
-        assert got == [ref[i] for i in jobs]
-
-    def test_cached_arrays_are_read_only(self):
-        for _, msq in spectrum._sideband_overlaps(0.3, 40, 5):
-            with pytest.raises(ValueError):
-                msq[0] = 0.5
 
 
 class TestTabulation:

@@ -75,10 +75,6 @@ class TestResponseConstant:
         expect = 30.0 * SIGMA * VOLUME * sc.hbar / (math.pi * sc.k ** 2)
         assert a_coefficient(net) == pytest.approx(expect, rel=1e-14)
 
-    def test_override_wins(self):
-        net = make_net(a_coeff=123.5)
-        assert a_coefficient(net) == 123.5
-
     def test_differential_response_form(self):
         a = a_coefficient(make_net())
         for t0 in (0.025, 0.1, 0.4):
@@ -96,8 +92,6 @@ class TestResponseConstant:
             differential_response(0.0, 1.0)
         with pytest.raises(ValueError):
             differential_response(0.1, -1.0)
-        with pytest.raises(ValueError):
-            make_net(a_coeff=-1.0)
 
 
 class TestSteadyState:
