@@ -39,6 +39,8 @@ RateSource = Callable[[float], RatePair]
 # Biases sampled along a ramp: the knots of its rate interpolant, and the
 # ends of the pieces a ramp is propagated in.
 RAMP_SAMPLES = 33
+# Relative tolerance of the ramp integrals of n(t).
+RAMP_RTOL = 1e-10
 
 
 # Not called by this module; kept because benchmark tracing patches it by name.
@@ -216,8 +218,8 @@ def _relax(n_a: float, up: float, net: float, u):
 
 def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
            extra_gamma: float = 0.0, extra_occupation: float = 0.0,
-           t_end: float | None = None, *, t_eval: Sequence[float] | None = None,
-           rtol: float = 1e-10) -> LadderTrajectory:
+           t_end: float | None = None, *,
+           t_eval: Sequence[float] | None = None) -> LadderTrajectory:
     """Evolve the ladder from ``init`` over the pulse waveform to ``t_end``.
 
     Propagates ``y = (-log eta, n)`` of the Moebius map from ``(0, 0)``,
@@ -234,7 +236,7 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
     ``n(t) = n_a e^{-dL(t)} + int_a^t up(tau) e^{-(dL(t) - dL(tau))} dtau``.
     The integrals of every ramp piece and every sample on it go through
     one batched :func:`~qcrlab.quadrature.adaptive_quad` call to relative
-    tolerance ``rtol``.
+    tolerance ``RAMP_RTOL``.
 
     Raises
     ------
@@ -315,7 +317,7 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
                              / dvdt[own]))
 
         fed = adaptive_quad(integrand, np.zeros(ramp_u.size), ramp_u,
-                            epsrel=rtol).value
+                            epsrel=RAMP_RTOL).value
 
     # (-log eta, n) at each sample; those at t = 0 keep the identity map
     log_eta, n = np.zeros(t_eval.size), np.zeros(t_eval.size)

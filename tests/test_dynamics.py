@@ -297,14 +297,15 @@ def ode_oracle(init, sched, env, extra_gamma, extra_occupation, t_end,
 
 class TestRamps:
     @pytest.mark.parametrize("which", ["bridging", "device"])
-    def test_knot_to_knot_matches_tight_tolerances(self, which):
+    def test_knot_to_knot_matches_tight_tolerances(self, which,
+                                                   monkeypatch):
         init, sched, env, ts = reset_sim_setup()
         if which == "bridging":
             sched = replace(sched, v_on=1.0)
             env = bridging_env
         loose = evolve(init, sched, env, t_end=ts[-1], t_eval=ts)
-        tight = evolve(init, sched, env, t_end=ts[-1], t_eval=ts,
-                       rtol=1e-13)
+        monkeypatch.setattr(dynamics, "RAMP_RTOL", 1e-13)
+        tight = evolve(init, sched, env, t_end=ts[-1], t_eval=ts)
         np.testing.assert_array_equal(loose.times, tight.times)
         np.testing.assert_allclose(loose.probs, tight.probs, rtol=0,
                                    atol=1e-9)

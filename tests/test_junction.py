@@ -302,7 +302,7 @@ class TestDirectQuadrature:
             junction._rate_at_temperature(e, j, epsrel / 1000),
             rtol=epsrel, atol=0.0)
 
-    @pytest.mark.parametrize("temp", [0.01, 0.1])
+    @pytest.mark.parametrize("temp", [1e-9, 1e-6, 0.01, 0.1])
     def test_scalar_call_takes_at_most_two_rounds(self, temp, monkeypatch):
         # breakpoints graded toward the gap edge and the Fermi kink resolve
         # both in the first Kronrod pass, leaving at most one round of
@@ -460,26 +460,36 @@ class TestValidation:
         with pytest.raises(ValueError):
             JunctionParams(delta=DELTA, dynes=1e-4, r_t=1e4, temp_n=-0.1)
 
-    @pytest.mark.parametrize("temp",
-                             [1e-9, 1e-16, 1e-17, 1e-30, 1e-300, 5e-324])
-    def test_rejects_temperatures_below_the_floor(self, temp):
-        # kT below 2**-30 delta: F(E) raised, came out up to 21 times too
-        # large, 0.0, or divided by zero
-        with pytest.raises(ValueError, match=r"^temp_n = .* temp_n = 0 "):
-            JunctionParams(delta=uev_to_joule(200.0), dynes=1e-4, r_t=1e4,
-                           temp_n=temp)
+    COLD = [(1e-6, 1e-12), *((t, 1e-9) for t in (
+        2.2e-9, 3e-9, 4e-9, 6e-9, 8e-9, 1e-8,
+        1e-9, 1e-16, 1e-17, 1e-30, 1e-300, 5e-324))]
 
-    def test_above_the_floor_matches_zero_temperature(self):
+    @pytest.mark.parametrize("temp,epsrel", COLD,
+                             ids=[repr(t) for t, _ in COLD])
+    def test_cold_temperatures_match_zero_temperature(self, temp, epsrel):
+        # every temp_n >= 0 is accepted: down to a kT that underflows, the
+        # kernel in kink coordinates stays resolved, and below it F(E) is
+        # the closed form
         delta = uev_to_joule(200.0)
-        floor = 2.0**-30 * delta / K_B
-        with pytest.raises(ValueError):
-            JunctionParams(delta, 1e-4, 1e4, 0.99 * floor)
         e = np.array([0.5, 0.9, 1.1, 2.0]) * delta
         cold, zero = (forward_rate(e, JunctionParams(delta, 1e-4, 1e4, t),
-                                   epsrel=1e-9)
-                      for t in (1e-8, 0.0))
-        np.testing.assert_allclose(cold, zero, rtol=1e-8)
-        JunctionParams(delta, 1e-4, 1e4, 1.01 * floor)
+                                   epsrel=epsrel)
+                      for t in (temp, 0.0))
+        np.testing.assert_allclose(cold, zero, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("temp", [1e-9, 1e-12, 1e-16, 1e-30, 1e-200])
+    @pytest.mark.parametrize("epsrel", [1e-9, 1e-11])
+    def test_sharp_gap_edge_follows_square_root_law(self, temp, epsrel):
+        # with dynes = 0, N(delta + x) = sqrt(2 delta x) to O(x/delta), so
+        # F(delta) = sqrt(2 delta kT) Gamma(3/2) eta(1/2) / h, where
+        # eta(1/2) = (1 - sqrt 2) zeta(1/2) is Dirichlet's eta function
+        delta = uev_to_joule(200.0)
+        eta = 0.6048986434216305
+        law = (math.sqrt(2.0 * delta * K_B * temp) * math.gamma(1.5) * eta
+               / PLANCK)
+        rate = forward_rate(delta, JunctionParams(delta, 0.0, 1e4, temp),
+                            epsrel=epsrel)
+        assert rate == pytest.approx(law, rel=1e-9)
 
     @pytest.mark.parametrize("temp", [0.1, 0.0])
     @pytest.mark.parametrize("energies,bad", [
