@@ -20,8 +20,8 @@ from .dynamics import (LadderState, LadderTrajectory, PulseSchedule,
 from .ep import (FluxMap, TwoModeParams, eigenvalues, ep_locus,
                  transmission_map)
 from .errors import (ConfigError, ConvergenceError, FitError, GridError,
-                     LeakageError, NonpositiveTemperatureError,
-                     QcrlabError, QuadratureError, TruncationError,
+                     NonpositiveTemperatureError, QcrlabError,
+                     QuadratureError, TruncationError,
                      UndefinedSteadyStateError)
 from .junction import DeviceConfig, JunctionParams, dos, fermi, forward_rate
 from .lamb import LambResult, default_grid, lamb_shift, pv_integral
@@ -37,9 +37,9 @@ from .source_calib import (CalibrationParams, CalibrationRecord,
                            two_bath_occupation)
 from .spectrum import (DriveState, ModeParams, OptimalBias, RatePair,
                        SpectralDensity, effective_temperature,
-                       fock_matrix_sq, gamma_dc, gamma_rf, occupation_prob,
-                       on_off_ratio, optimal_bias, rf_transition_rates,
-                       steady_p1, tabulate_spectrum, transition_rates)
+                       fock_matrix_sq, on_off_ratio, optimal_bias,
+                       rf_transition_rates, steady_p1, tabulate_spectrum,
+                       transition_rates)
 from .tableio import Table, read_table, write_sidecar, write_table
 from .thermal import (ThermalNetwork, a_coefficient, differential_response,
                       g_quantum, steady_state)
@@ -50,8 +50,8 @@ __all__ = [
     "JunctionParams", "DeviceConfig", "dos", "fermi", "forward_rate",
     # spectrum
     "ModeParams", "DriveState", "RatePair", "SpectralDensity",
-    "OptimalBias", "occupation_prob", "fock_matrix_sq", "transition_rates",
-    "rf_transition_rates", "gamma_dc", "gamma_rf", "steady_p1",
+    "OptimalBias", "fock_matrix_sq", "transition_rates",
+    "rf_transition_rates", "steady_p1",
     "effective_temperature", "optimal_bias", "on_off_ratio",
     "tabulate_spectrum",
     # lamb
@@ -77,7 +77,7 @@ __all__ = [
     "QuadResult", "adaptive_quad",
     "Table", "read_table", "write_table", "write_sidecar",
     # errors
-    "QcrlabError", "QuadratureError", "TruncationError", "LeakageError",
+    "QcrlabError", "QuadratureError", "TruncationError",
     "ConvergenceError", "GridError", "UndefinedSteadyStateError",
     "NonpositiveTemperatureError", "FitError", "ConfigError",
 ]

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, FitError, LeakageError
+from .errors import ConvergenceError, FitError, TruncationError
 from .junction import DeviceConfig, JunctionParams
 from .pchip import Pchip
 from .quadrature import adaptive_quad
@@ -59,12 +59,11 @@ class LadderState:
     """Probability distribution over Fock states 0..n_cut."""
 
     probs: np.ndarray
-    n_cut: int = 30
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float).copy()
-        if self.probs.ndim != 1 or len(self.probs) != self.n_cut + 1:
-            raise ValueError("probs must have length n_cut + 1")
+        if self.probs.ndim != 1:
+            raise ValueError("probs must be one-dimensional")
         if np.any(self.probs < -1e-12):
             raise ValueError("probabilities must be nonnegative")
         self.probs = np.clip(self.probs, 0.0, None)
@@ -75,7 +74,7 @@ class LadderState:
     def ground(cls, n_cut: int = 30) -> "LadderState":
         p = np.zeros(n_cut + 1)
         p[0] = 1.0
-        return cls(p, n_cut)
+        return cls(p)
 
     @classmethod
     def thermal(cls, mean_n: float, n_cut: int = 30) -> "LadderState":
@@ -94,9 +93,13 @@ class LadderState:
         p = fock_distribution(np.arange(n_cut + 1), mean_n, distribution)
         kept = p.sum()
         if kept < 1.0 - 1e-6:
-            raise LeakageError(f"n_cut = {n_cut} keeps {kept:.6g} of the "
-                               f"{distribution} state; raise n_cut")
-        return cls(p / kept, n_cut)
+            raise TruncationError(f"n_cut = {n_cut} keeps {kept:.6g} of the "
+                                  f"{distribution} state; raise n_cut")
+        return cls(p / kept)
+
+    @property
+    def n_cut(self) -> int:
+        return len(self.probs) - 1
 
     @property
     def mean_n(self) -> float:

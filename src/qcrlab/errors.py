@@ -27,11 +27,10 @@ class QuadratureError(QcrlabError):
 
 
 class TruncationError(QcrlabError):
-    """A Fock-space truncation does not hold enough probability mass."""
+    """A Fock-space cut keeps too little of a distribution.
 
-
-class LeakageError(QcrlabError):
-    """A Fock-ladder cut keeps too little of an initial distribution."""
+    The cut is a drive's ``fock_cut`` or a ladder's ``n_cut``.
+    """
 
 
 class ConvergenceError(QcrlabError):

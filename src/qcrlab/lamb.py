@@ -122,8 +122,11 @@ def lamb_shift(s: SpectralDensity, omega_r: float) -> LambResult:
     The grid must cover [omega_r/50, 50*omega_r], up to a few ulps of
     rounding in its ends.  Beyond the tabulated window the spectrum is
     continued linearly in frequency (Ohmic asymptote), whose
-    contribution above the grid is added in closed form, making the
-    result insensitive to the cutoff.
+    contribution above the grid is added in closed form.  The result
+    still depends on the window: the continuation is not exact there,
+    and on ``configs/lamb_shift.json`` the [omega_r/50, 50*omega_r]
+    window puts the shift +596 to +630 Hz off, the dominant error (see
+    :class:`LambResult`).
     """
     if not omega_r > 0:
         raise ValueError("mode frequency must be positive")

@@ -162,13 +162,6 @@ def fock_distribution(ks, mean_n,
     return np.where(n == 0.0, ks == 0, np.exp(logp))
 
 
-def occupation_prob(k: int, d: DriveState) -> float:
-    """Probability of Fock state ``k`` under the drive statistics."""
-    if k < 0:
-        raise ValueError("Fock index must be nonnegative")
-    return float(fock_distribution(k, d.mean_n, d.distribution))
-
-
 def _overlap_sq(m_max: int, ds, rho: float) -> np.ndarray:
     """``|<m + d| D(rho) |m>|^2`` for ``m = 0..m_max``, one row per ``d``.
 
@@ -294,25 +287,6 @@ def transition_rates(v, mode: ModeParams, j: JunctionParams,
                            epsrel)
 
 
-def _select_rate(r: RatePair, kind: str) -> float:
-    """The net, absorption (down) or emission (up) rate of ``r``."""
-    if kind == "net":
-        return r.net
-    if kind == "absorption":
-        return r.down
-    if kind == "emission":
-        return r.up
-    raise ValueError(f"unknown rate kind {kind!r}")
-
-
-def gamma_dc(v: float, mode: ModeParams, j: JunctionParams, dev: DeviceConfig,
-             *, kind: Literal["net", "absorption", "emission"] = "net",
-             epsrel: float = 1e-11) -> float:
-    """Coupling rate of the mode at dc bias ``v`` (device-level volts)."""
-    return _select_rate(transition_rates(v, mode, j, dev, epsrel=epsrel),
-                        kind)
-
-
 def rf_transition_rates(v: float, mode_p: ModeParams, mode_s: ModeParams,
                         d: DriveState, j: JunctionParams, dev: DeviceConfig,
                         *, epsrel: float = 1e-11) -> RatePair:
@@ -327,16 +301,6 @@ def rf_transition_rates(v: float, mode_p: ModeParams, mode_s: ModeParams,
     return _directed_rates(v, HBAR * mode_p.omega,
                            _sideband_weights(d, mode_s.rho_eff),
                            HBAR * mode_s.omega, mode_p, j, dev, epsrel)
-
-
-def gamma_rf(v: float, mode_p: ModeParams, mode_s: ModeParams, d: DriveState,
-             j: JunctionParams, dev: DeviceConfig, *,
-             kind: Literal["net", "absorption", "emission"] = "net",
-             epsrel: float = 1e-11) -> float:
-    """Drive-assisted coupling rate of the primary mode (1/s)."""
-    return _select_rate(
-        rf_transition_rates(v, mode_p, mode_s, d, j, dev, epsrel=epsrel),
-        kind)
 
 
 def steady_p1(r: RatePair) -> float:

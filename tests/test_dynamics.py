@@ -18,7 +18,7 @@ from qcrlab import (DeviceConfig, JunctionParams, LadderState,
                     LadderTrajectory, ModeParams, PulseSchedule, RatePair,
                     dynamics, evolve, extract_gamma_by_pulse_sweep,
                     reset_infidelity)
-from qcrlab.errors import FitError, LeakageError
+from qcrlab.errors import FitError, TruncationError
 from qcrlab.units import E_CHARGE, ghz_to_omega, uev_to_joule
 
 
@@ -80,7 +80,7 @@ class TestLadderState:
 
     def test_cut_must_keep_all_but_1e_6(self):
         # a geometric of mean 1 keeps 1 - 2^-11 below n_cut = 10
-        with pytest.raises(LeakageError):
+        with pytest.raises(TruncationError):
             LadderState.thermal(1.0, n_cut=10)
         # the state of acceptance criterion 10 loses about 1e-11
         assert LadderState.coherent(0.8, 12).mean_n == pytest.approx(
@@ -88,9 +88,10 @@ class TestLadderState:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LadderState(np.array([0.5, 0.4]), n_cut=2)
+            LadderState(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
-            LadderState(np.array([0.5, 0.2]), n_cut=1)
+            LadderState(np.array([0.5, 0.2]))
+        assert LadderState(np.array([0.2, 0.8])).n_cut == 1
         with pytest.raises(ValueError):
             LadderState.coherent(-1.0)
 
@@ -189,7 +190,7 @@ class TestEvolve:
     def test_leakage_detected(self):
         # the dynamics are exact on the infinite ladder: only the initial
         # cut can lose population, and it loses 8% here
-        with pytest.raises(LeakageError):
+        with pytest.raises(TruncationError):
             LadderState.coherent(1.0, n_cut=2)
 
     @given(st.floats(1e5, 1e8), st.floats(0.0, 0.5), st.floats(0.0, 1e7),

@@ -13,9 +13,9 @@ from scipy.special import eval_genlaguerre, gammaln
 from qcrlab import spectrum
 from qcrlab import (DeviceConfig, DriveState, JunctionParams, ModeParams,
                     RatePair, SpectralDensity, effective_temperature,
-                    fock_matrix_sq, gamma_dc, gamma_rf, occupation_prob,
-                    on_off_ratio, optimal_bias, rf_transition_rates,
-                    steady_p1, tabulate_spectrum, transition_rates)
+                    fock_matrix_sq, on_off_ratio, optimal_bias,
+                    rf_transition_rates, steady_p1, tabulate_spectrum,
+                    transition_rates)
 from qcrlab.errors import (GridError, NonpositiveTemperatureError,
                            QcrlabError, TruncationError,
                            UndefinedSteadyStateError)
@@ -25,25 +25,31 @@ EPS = 1e-9  # quadrature tolerance for the cheaper checks
 
 
 class TestOccupationProb:
+    """A drive's Fock occupation probabilities, from ``fock_distribution``."""
+
     def test_poisson_value(self):
         d = DriveState(mean_n=2.0, distribution="coherent")
-        assert occupation_prob(2, d) == pytest.approx(2.0 * math.exp(-2.0),
-                                                      rel=1e-13)
+        p2 = spectrum.fock_distribution(2, d.mean_n, d.distribution)
+        assert p2 == pytest.approx(2.0 * math.exp(-2.0), rel=1e-13)
 
     def test_geometric_value(self):
         d = DriveState(mean_n=1.0, distribution="thermal")
-        assert occupation_prob(0, d) == pytest.approx(0.5, rel=1e-13)
+        p0 = spectrum.fock_distribution(0, d.mean_n, d.distribution)
+        assert p0 == pytest.approx(0.5, rel=1e-13)
 
     def test_normalized(self):
         for dist in ("coherent", "thermal"):
             d = DriveState(mean_n=3.0, distribution=dist)
-            total = sum(occupation_prob(k, d) for k in range(200))
-            assert total == pytest.approx(1.0, abs=1e-10)
+            p = spectrum.fock_distribution(np.arange(200), d.mean_n,
+                                           d.distribution)
+            assert p.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_drive_is_vacuum(self):
         d = DriveState(mean_n=0.0)
-        assert occupation_prob(0, d) == 1.0
-        assert occupation_prob(5, d) == 0.0
+        p = spectrum.fock_distribution(np.array([0, 5]), d.mean_n,
+                                       d.distribution)
+        assert p[0] == 1.0
+        assert p[1] == 0.0
 
 
 class TestFockDistribution:
@@ -197,34 +203,6 @@ class TestTransitionRates:
         assert soft_r.down == pytest.approx(2.0 * stiff_r.down, rel=1e-12)
         assert soft_r.up == pytest.approx(2.0 * stiff_r.up, rel=1e-12)
 
-    def test_gamma_dc_kinds(self, junction_50ghz, device, mode_10ghz):
-        # gamma_rf shares the selector, so it is checked here as well
-        v = 1.2 * junction_50ghz.delta / E_CHARGE
-        mode_s = ModeParams(omega=2.0 * mode_10ghz.omega, impedance=35.0,
-                            alpha=0.5)
-        d = DriveState(mean_n=1.0, l_max=2, fock_cut=12)
-
-        def dc(**kw):
-            return gamma_dc(v, mode_10ghz, junction_50ghz, device, **kw)
-
-        def rf(**kw):
-            return gamma_rf(v, mode_10ghz, mode_s, d, junction_50ghz, device,
-                            **kw)
-
-        cases = [
-            (dc, transition_rates(v, mode_10ghz, junction_50ghz, device,
-                                  epsrel=EPS)),
-            (rf, rf_transition_rates(v, mode_10ghz, mode_s, d,
-                                     junction_50ghz, device, epsrel=EPS)),
-        ]
-        for gamma, r in cases:
-            assert gamma(kind="net", epsrel=EPS) == pytest.approx(r.net)
-            assert gamma(kind="absorption", epsrel=EPS) == pytest.approx(
-                r.down)
-            assert gamma(kind="emission", epsrel=EPS) == pytest.approx(r.up)
-            with pytest.raises(ValueError):
-                gamma(kind="sideways")
-
 
 class TestSteadyState:
     def test_p1_and_temperature_at_zero_bias(self, junction_50ghz, device,
@@ -304,9 +282,10 @@ class TestDrivenRates:
         mode_p = ModeParams(omega=wp, impedance=35.0, alpha=0.5)
         mode_s = ModeParams(omega=2 * wp, impedance=35.0, alpha=0.5)
         d = DriveState(mean_n=0.0)
-        g_rf = gamma_rf(0.0, mode_p, mode_s, d, junction_cold, device,
-                        epsrel=EPS)
-        g_dc = gamma_dc(0.0, mode_p, junction_cold, device, epsrel=EPS)
+        g_rf = rf_transition_rates(0.0, mode_p, mode_s, d, junction_cold,
+                                   device, epsrel=EPS).net
+        g_dc = transition_rates(0.0, mode_p, junction_cold, device,
+                                epsrel=EPS).net
         rho2 = mode_s.rho_eff ** 2
         assert g_rf == pytest.approx(math.exp(-rho2) * g_dc, rel=1e-3)
 
@@ -314,11 +293,12 @@ class TestDrivenRates:
         wp = ghz_to_omega(8.8)
         mode_p = ModeParams(omega=wp, impedance=35.0, alpha=0.5)
         mode_s = ModeParams(omega=2 * wp, impedance=35.0, alpha=0.5)
-        base = gamma_rf(0.0, mode_p, mode_s, DriveState(mean_n=0.0),
-                        junction_cold, device, epsrel=EPS)
-        driven = gamma_rf(0.0, mode_p, mode_s,
-                          DriveState(mean_n=1000.0, fock_cut=1300),
-                          junction_cold, device, epsrel=EPS)
+        base = rf_transition_rates(0.0, mode_p, mode_s,
+                                   DriveState(mean_n=0.0), junction_cold,
+                                   device, epsrel=EPS).net
+        driven = rf_transition_rates(0.0, mode_p, mode_s,
+                                     DriveState(mean_n=1000.0, fock_cut=1300),
+                                     junction_cold, device, epsrel=EPS).net
         assert driven >= 100.0 * base
 
     def test_sideband_order_converged(self, junction_cold, device):
@@ -327,10 +307,10 @@ class TestDrivenRates:
         mode_s = ModeParams(omega=2 * wp, impedance=35.0, alpha=0.5)
         d5 = DriveState(mean_n=3.0, l_max=5, fock_cut=60)
         d8 = DriveState(mean_n=3.0, l_max=8, fock_cut=60)
-        g5 = gamma_rf(0.0, mode_p, mode_s, d5, junction_cold, device,
-                      epsrel=EPS)
-        g8 = gamma_rf(0.0, mode_p, mode_s, d8, junction_cold, device,
-                      epsrel=EPS)
+        g5 = rf_transition_rates(0.0, mode_p, mode_s, d5, junction_cold,
+                                 device, epsrel=EPS).net
+        g8 = rf_transition_rates(0.0, mode_p, mode_s, d8, junction_cold,
+                                 device, epsrel=EPS).net
         assert g5 == pytest.approx(g8, rel=1e-6)
 
     def test_undersized_fock_cut_raises(self, junction_cold, device):
@@ -338,9 +318,9 @@ class TestDrivenRates:
         mode_p = ModeParams(omega=wp, impedance=35.0, alpha=0.5)
         mode_s = ModeParams(omega=2 * wp, impedance=35.0, alpha=0.5)
         with pytest.raises(TruncationError):
-            gamma_rf(0.0, mode_p, mode_s,
-                     DriveState(mean_n=50.0, fock_cut=40), junction_cold,
-                     device, epsrel=EPS)
+            rf_transition_rates(0.0, mode_p, mode_s,
+                                DriveState(mean_n=50.0, fock_cut=40),
+                                junction_cold, device, epsrel=EPS)
 
 
 class TestTabulation:
@@ -353,7 +333,8 @@ class TestTabulation:
         for w, val in zip(grid, dens.values):
             probe = replace(mode_10ghz, omega=float(w))
             assert val == pytest.approx(
-                gamma_dc(v, probe, junction_50ghz, device, epsrel=EPS),
+                transition_rates(v, probe, junction_50ghz, device,
+                                 epsrel=EPS).net,
                 rel=1e-12)
 
     def test_rejects_bad_grid(self):
