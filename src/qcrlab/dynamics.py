@@ -117,7 +117,9 @@ class PulseSchedule:
     v_off: float = 0.0
 
     def __post_init__(self):
-        if self.width < 0 or self.rise_fall < 0 or self.t_start < 0:
+        # written so that NaN fails it
+        if not (self.width >= 0 and self.rise_fall >= 0
+                and self.t_start >= 0):
             raise ValueError("schedule times must be nonnegative")
 
     @property
@@ -130,16 +132,19 @@ class PulseSchedule:
                self.t_start + r + self.width, self.t_end_pulse]
         return sorted(set(pts))
 
-    def voltage(self, t: float) -> float:
-        r = self.rise_fall
-        t0 = self.t_start
-        if t <= t0 or t >= self.t_end_pulse:
-            return self.v_off
-        if t < t0 + r:
-            return self.v_off + (self.v_on - self.v_off) * (t - t0) / r
-        if t <= t0 + r + self.width:
-            return self.v_on
-        return self.v_off + (self.v_on - self.v_off) * (self.t_end_pulse - t) / r
+    def voltage(self, t):
+        """The bias at time ``t``; an array of times gives an array."""
+        t = np.asarray(t, dtype=float)
+        t0, r, t1 = self.t_start, self.rise_fall, self.t_end_pulse
+        rise_end = t0 + r
+        # with r = 0 no time is on a ramp, so its quotient is never read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ramp = self.v_off + (self.v_on - self.v_off) * np.where(
+                t < rise_end, t - t0, t1 - t) / r
+        v = np.where((t <= t0) | (t >= t1), self.v_off,
+                     np.where((t < rise_end) | (t > rise_end + self.width),
+                              ramp, self.v_on))
+        return float(v) if v.ndim == 0 else v
 
 
 @dataclass
@@ -159,8 +164,7 @@ class LadderTrajectory:
     def ground_pop(self) -> np.ndarray:
         """``G(0) = G0(1 - eta/(1 + n))/(1 + n)``."""
         p = 1.0 / (1.0 + self.n)
-        return p * np.polynomial.polynomial.polyval(1.0 - self.eta * p,
-                                                    self.init.probs)
+        return p * _horner(1.0 - self.eta * p, self.init.probs)
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -209,14 +213,13 @@ class DcRateSource:
         return self._rates(v)
 
 
-def _relax(n_a: float, up: float, net: float, u):
-    """``(-log eta, n)`` gained over a time ``u`` at constant rates.
-
-    ``n`` relaxes from ``n_a`` towards ``up/net`` at the rate ``net``.
-    """
-    if net == 0.0:
-        return net * u, n_a + up * u
-    return net * u, n_a * np.exp(-net * u) - up * np.expm1(-net * u) / net
+def _horner(x, c):
+    """``sum_k c[k] x^k`` over the first axis of ``c``, in the order of
+    operations of ``numpy.polynomial.polynomial.polyval``."""
+    y = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        y = ck + y * x
+    return y
 
 
 def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
@@ -248,14 +251,16 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
     """
     if t_end is None:
         t_end = sched.t_end_pulse
-    if t_end <= 0:
+    if not t_end > 0:
         raise ValueError("t_end must be positive")
     if extra_gamma < 0 or extra_occupation < 0:
         raise ValueError("extra channel parameters must be nonnegative")
     if t_eval is None:
         t_eval = np.linspace(0.0, t_end, 201)
     t_eval = np.array(t_eval, dtype=float)
-    if np.any(t_eval < 0) or np.any(t_eval > t_end) or np.any(np.diff(t_eval) < 0):
+    # written so that NaN fails it
+    if not ((t_eval >= 0).all() and (t_eval <= t_end).all()
+            and (np.diff(t_eval) >= 0).all()):
         raise ValueError("t_eval must be sorted inside [0, t_end]")
 
     def rates(v: float) -> tuple[float, float]:
@@ -268,7 +273,6 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
                                    f"finite: up {up!r}, down {down!r}")
         return up, down
 
-    poly = np.polynomial.polynomial
     levels = {v: rates(v) for v in (sched.v_off, sched.v_on)}
     edges = {0.0, t_end, *sched.breakpoints()}
     rise_end = sched.t_start + sched.rise_fall
@@ -278,7 +282,9 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
         # ascending-power coefficients [power, interval] of up and of the
         # antiderivative of net, zero at the interval's left knot
         c = Pchip(vgrid, [rates(v) for v in vgrid.tolist()]).c[::-1]
-        c_up, c_lnet = c[..., 0], poly.polyint(c[..., 1] - c[..., 0])
+        c_up, c_net = c[..., 0], c[..., 1] - c[..., 0]
+        c_lnet = np.concatenate([np.zeros((1, c_net.shape[1])),
+                                 c_net / np.arange(1.0, 5.0)[:, None]])
         slope = (sched.v_on - sched.v_off) / sched.rise_fall
         # the bias is linear on a ramp, so it meets the samples at evenly
         # spaced times
@@ -286,55 +292,70 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
         edges.update(np.linspace(sched.t_start, rise_end, RAMP_SAMPLES).tolist())
         edges.update(np.linspace(fall_start, sched.t_end_pulse,
                                  RAMP_SAMPLES).tolist())
-    seg_edges = sorted(b for b in edges if 0.0 <= b <= t_end)
+    edges = np.array(sorted(b for b in edges if 0.0 <= b <= t_end))
+    a, b = edges[:-1], edges[1:]
 
     # each segment reads its level, or its ramp interval, at its midpoint;
-    # on a ramp, each sample and the end is one integral to take
-    segs, ramp = [], []
-    for a, b in zip(seg_edges[:-1], seg_edges[1:]):
-        j0, j1 = np.searchsorted(t_eval, [a, b], side="right")
-        u = np.append(t_eval[j0:j1], b) - a   # the samples, then the end
-        v = sched.voltage(0.5 * (a + b))
-        segs.append((j0, j1, u, levels.get(v)))
-        if v not in levels:
-            i = min(max(int(np.searchsorted(vgrid, v, side="right")) - 1, 0),
-                    RAMP_SAMPLES - 2)
-            dvdt = slope if a < rise_end else -slope
-            # s(u) = s_a + dvdt u: the bias above the interval's left knot
-            s_a = v - vgrid[i] - 0.5 * dvdt * (b - a)
-            ramp.extend((i, s_a, dvdt, x) for x in u)
+    # the flat sample axis holds each segment's samples, then its end
+    js = np.searchsorted(t_eval, edges, side="right")
+    count = np.diff(js) + 1
+    seg = np.repeat(np.arange(a.size), count)
+    ends = np.cumsum(count) - 1
+    at_end = np.zeros(seg.size, dtype=bool)
+    at_end[ends] = True
+    t = np.empty(seg.size)
+    t[ends] = b
+    t[~at_end] = t_eval[js[0]:]
+    u = t - a[seg]
 
-    if ramp:
-        ival, s_a, dvdt, ramp_u = np.array(ramp).T
-        ival = ival.astype(int)
-        pv = poly.polyval
-        lnet_u = pv(s_a + dvdt * ramp_u, c_lnet[:, ival], tensor=False)
-        gain = (lnet_u - pv(s_a, c_lnet[:, ival], tensor=False)) / dvdt
+    v = sched.voltage(0.5 * (a + b))
+    off = (v == sched.v_off)[seg]
+    (up_off, down_off), (up_on, down_on) = (levels[sched.v_off],
+                                            levels[sched.v_on])
+    up = np.where(off, up_off, up_on)
+    net = np.where(off, down_off - up_off, down_on - up_on)
+    # on a level, -log eta gains net u; n decays by e^{-net u} and is fed
+    # up (1 - e^{-net u})/net, or up u at net = 0
+    dl = net * u
+    decay = np.where(net == 0.0, 1.0, np.exp(-net * u))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fed = np.where(net == 0.0, up * u, -(up * np.expm1(-net * u) / net))
+    ramp = ((v != sched.v_off) & (v != sched.v_on))[seg]
+    if ramp.any():
+        on = seg[ramp]      # the segment of each sample on a ramp
+        i = np.clip(np.searchsorted(vgrid, v[on], side="right") - 1, 0,
+                    RAMP_SAMPLES - 2)
+        dvdt = np.where(a[on] < rise_end, slope, -slope)
+        # s(u) = s_a + dvdt u: the bias above the interval's left knot
+        s_a = v[on] - vgrid[i] - 0.5 * dvdt * (b[on] - a[on])
+        ramp_u = u[ramp]
+        lnet_u = _horner(s_a + dvdt * ramp_u, c_lnet[:, i])
+        gain = (lnet_u - _horner(s_a, c_lnet[:, i])) / dvdt
 
         def integrand(arg):
             x, own = arg
             s = s_a[own] + dvdt[own] * x
-            k = ival[own]
-            return (pv(s, c_up[:, k], tensor=False)
-                    * np.exp((pv(s, c_lnet[:, k], tensor=False) - lnet_u[own])
+            k = i[own]
+            return (_horner(s, c_up[:, k])
+                    * np.exp((_horner(s, c_lnet[:, k]) - lnet_u[own])
                              / dvdt[own]))
 
-        fed = adaptive_quad(integrand, np.zeros(ramp_u.size), ramp_u,
-                            epsrel=RAMP_RTOL).value
+        dl[ramp] = gain
+        decay[ramp] = np.exp(-gain)
+        fed[ramp] = adaptive_quad(integrand, np.zeros(ramp_u.size), ramp_u,
+                                  epsrel=RAMP_RTOL).value
 
+    # chain the segments in plain floats: the map at each segment's start
+    l_a, n_a = [0.0], [0.0]
+    for dl_k, decay_k, fed_k in zip(dl[ends].tolist(), decay[ends].tolist(),
+                                    fed[ends].tolist()):
+        l_a.append(l_a[-1] + dl_k)
+        n_a.append(n_a[-1] * decay_k + fed_k)
+    l_a, n_a = np.array(l_a)[seg], np.array(n_a)[seg]
     # (-log eta, n) at each sample; those at t = 0 keep the identity map
     log_eta, n = np.zeros(t_eval.size), np.zeros(t_eval.size)
-    l_a, n_a, q = 0.0, 0.0, 0   # the map at the segment's start
-    for j0, j1, u, level in segs:
-        if level is not None:
-            dl, dn = _relax(n_a, level[0], level[1] - level[0], u)
-        else:
-            dl, fed_u = gain[q:q + u.size], fed[q:q + u.size]
-            q += u.size
-            dn = n_a * np.exp(-dl) + fed_u
-        log_eta[j0:j1] = l_a + dl[:-1]
-        n[j0:j1] = dn[:-1]
-        l_a, n_a = l_a + float(dl[-1]), float(dn[-1])
+    log_eta[js[0]:] = (l_a + dl)[~at_end]
+    n[js[0]:] = (n_a * decay + fed)[~at_end]
     return LadderTrajectory(t_eval, np.exp(-log_eta), n, init)
 
 

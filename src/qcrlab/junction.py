@@ -171,9 +171,11 @@ def _rate_at_temperature(e: np.ndarray, p: JunctionParams,
     # region weighs under e^-60 of the total, and so, since N increases,
     # does everything below u = -60
     gap_u = (p.delta - e) / kt
-    gap = np.where((gap_u < -60.0)[:, None], np.nan,
-                   gap_u[:, None] + _GAP_GRADING * min(30.0, p.delta / kt))
-    pts = np.concatenate([gap, np.tile(_KINK_GRADING, (e.size, 1))], axis=1)
+    pts = np.empty((e.size, _GAP_GRADING.size + _KINK_GRADING.size))
+    pts[:, :_GAP_GRADING.size] = np.where(
+        (gap_u < -60.0)[:, None], np.nan,
+        gap_u[:, None] + _GAP_GRADING * min(30.0, p.delta / kt))
+    pts[:, _GAP_GRADING.size:] = _KINK_GRADING
     top = np.maximum(gap_u, 0.0) + 60.0
     val, _ = adaptive_quad(integrand, np.maximum(-b, -60.0), top, points=pts,
                            epsrel=epsrel)
@@ -307,6 +309,17 @@ def interpolant_size(p: JunctionParams, epsrel: float) -> tuple[int, int]:
     return (sum(b.lo.size for b in bases), sum(b.nodes for b in bases))
 
 
+def _unique(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(x, return_inverse=True)`` for a 1-d ``x`` without NaN."""
+    order = x.argsort()
+    xs = x[order]
+    first = np.ones(xs.size, dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    inv = np.empty(xs.size, dtype=np.intp)
+    inv[order] = first.cumsum() - 1
+    return xs[first], inv
+
+
 def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     """Normalised tunnelling rate F(E) for energy gain ``e_gain`` (1/s).
 
@@ -373,7 +386,7 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     if K_B * p.temp_n == 0.0:
         # the occupations collapse to the window (0, E), empty for E <= 0
         return cumulative_dos(np.maximum(e, 0.0), p) / PLANCK
-    mag, inv = np.unique(np.abs(e).ravel(), return_inverse=True)
+    mag, inv = _unique(np.abs(e).ravel())
     panels = None
     if mag.size >= _CHEB_N:
         try:

@@ -42,6 +42,8 @@ _NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
 _W_KRON = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
+# panels narrower than this, relative to the larger limit, are not split
+_WIDTH_FLOOR = 8.0 * np.finfo(float).eps
 
 
 # First-round panels refined together by one loop.  The node arrays grow
@@ -64,19 +66,17 @@ def _panel_eval(f: Callable, lo: np.ndarray, hi: np.ndarray,
     ``f`` gets the flattened nodes, paired with each node's problem index
     when ``owner`` is given.
     """
-    mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-    x = nodes.ravel()
-    arg = x if owner is None else (x, np.repeat(owner, len(_NODES)))
-    vals = np.asarray(f(arg), dtype=float).reshape(nodes.shape)
+    x = (0.5 * (lo + hi)[:, None] + half[:, None] * _NODES).ravel()
+    arg = x if owner is None else (x, owner.repeat(len(_NODES)))
+    vals = np.asarray(f(arg), dtype=float).reshape(-1, len(_NODES))
     # row sums, not a matrix-vector product: BLAS may round a row
     # differently depending on its neighbours, numpy's row sum does not
     kron = half * (vals * _W_KRON).sum(axis=1)
-    gauss = half * (vals * _W_GAUSS).sum(axis=1)
-    err = np.abs(kron - gauss)
-    bad = ~np.isfinite(vals).all(axis=1)
-    if np.any(bad):
+    err = np.abs(kron - half * (vals * _W_GAUSS).sum(axis=1))
+    # a panel with a non-finite node has a non-finite estimate
+    if not np.isfinite(err).all():
+        bad = ~np.isfinite(vals).all(axis=1)
         err[bad] = np.inf
         kron[bad] = 0.0
     return kron, err
@@ -121,64 +121,63 @@ def adaptive_quad(f: Callable, a, b, *,
         message gives the problem's limits, ``achieved`` its error and
         ``problem`` its index.
     """
-    batch = np.ndim(a) > 0 or np.ndim(b) > 0
-    lo, hi = (np.ravel(v) for v in
-              np.broadcast_arrays(np.asarray(a, dtype=float),
-                                  np.asarray(b, dtype=float)))
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    batch = a.ndim > 0 or b.ndim > 0
+    lo, hi = np.broadcast_arrays(a, b)
+    lo, hi = lo.ravel(), hi.ravel()
+    if not (np.isfinite(lo) & np.isfinite(hi)).all():
         raise ValueError("integration limits must be finite")
+    # one row of breakpoints, shared, or one row per problem
     pts = np.asarray(points, dtype=float)
-    pts = np.broadcast_to(pts, (lo.size, pts.shape[-1] if pts.ndim else 1))
+    if pts.ndim < 2:
+        pts = pts.reshape(1, -1)
+    if len(pts) not in (1, lo.size):
+        raise ValueError("points must be shared or given per problem")
     value = np.zeros(lo.size)
     error = np.zeros(lo.size)
     step = max(1, _MAX_PANELS // (pts.shape[1] + 1))
     for start in range(0, lo.size, step):
         sl = slice(start, start + step)
-        value[sl], error[sl] = _refine(f, lo[sl], hi[sl], pts[sl], start,
-                                       batch, epsrel, max_panels)
+        _refine(f, lo[sl], hi[sl], pts if len(pts) == 1 else pts[sl], start,
+                batch, epsrel, max_panels, value[sl], error[sl])
     if batch:
         return QuadResult(value, error)
     return QuadResult(float(value[0]), float(error[0]))
 
 
-def _refine(f, a, b, pts, start, batch, epsrel, max_panels):
-    """Refinement loop over the problems ``start .. start+len(a)-1``."""
+def _refine(f, a, b, pts, start, batch, epsrel, max_panels, value, error):
+    """Refinement loop over the problems ``start .. start+len(a)-1``,
+    adding each result into ``value`` and ``error``, which start at 0."""
     m = a.size
     # breakpoints inside (a, b) become edges; the rest collapse onto a and
     # leave empty panels, dropped below with those of empty intervals
-    inside = (pts > a[:, None]) & (pts < b[:, None])
-    edges = np.concatenate([a[:, None],
-                            np.sort(np.where(inside, pts, a[:, None]), axis=1),
-                            b[:, None]], axis=1)
+    col_a = a[:, None]
+    edges = np.concatenate(
+        [col_a, np.sort(np.where((pts > col_a) & (pts < b[:, None]), pts,
+                                 col_a), axis=1), b[:, None]], axis=1)
     nonempty = edges[:, 1:] > edges[:, :-1]
     own = np.nonzero(nonempty)[0]
     lo, hi = edges[:, :-1][nonempty], edges[:, 1:][nonempty]
-
-    def evaluate(lo, hi, own):
-        return _panel_eval(f, lo, hi, own + start if batch else None)
-
     if not lo.size:     # every interval empty: never call the integrand
-        return np.zeros(m), np.zeros(m)
-    vals, errs = evaluate(lo, hi, own)
-    width_floor = 8.0 * np.finfo(float).eps * np.maximum(
-        np.maximum(np.abs(a), np.abs(b)), 1e-300)
-    value = np.zeros(m)
-    error = np.zeros(m)
-    live = np.ones(m, dtype=bool)
+        return
+    vals, errs = _panel_eval(f, lo, hi, own + start if batch else None)
     while True:
         # bincount adds each problem's panels in array order, and that
-        # order depends on the problem alone
+        # order depends on the problem alone.  A problem keeps its panels
+        # until it converges, so from then on it adds zeros
         total = np.bincount(own, vals, m)
         toterr = np.bincount(own, errs, m)
         tol = epsrel * np.abs(total)
-        done = live & ((toterr <= tol) | (toterr == 0.0))
-        value[done] = total[done]
-        error[done] = toterr[done]
-        live &= ~done
-        if not live.any():
-            return value, error
+        done = (toterr <= tol) | (toterr == 0.0)
+        np.add(value, total, out=value, where=done)
+        np.add(error, toterr, out=error, where=done)
+        if done.all():
+            return
+        live = ~done
         count = np.bincount(own, minlength=m)
         active = live[own]
+        width_floor = _WIDTH_FLOOR * np.maximum(
+            np.maximum(np.abs(a), np.abs(b)), 1e-300)
         split = (active & (errs > (tol / np.maximum(count, 1))[own])
                  & (hi - lo > width_floor[own]))
         nsplit = np.bincount(own, split, m)
@@ -196,11 +195,12 @@ def _refine(f, a, b, pts, start, batch, epsrel, max_panels):
         keep = active & ~split
         slo, shi, sown = lo[split], hi[split], own[split]
         smid = 0.5 * (slo + shi)
-        new_vals, new_errs = evaluate(np.concatenate([slo, smid]),
-                                      np.concatenate([smid, shi]),
-                                      np.concatenate([sown, sown]))
         lo = np.concatenate([lo[keep], slo, smid])
         hi = np.concatenate([hi[keep], smid, shi])
         own = np.concatenate([own[keep], sown, sown])
+        # the halves sit at the end
+        new = slice(lo.size - 2 * slo.size, None)
+        new_vals, new_errs = _panel_eval(
+            f, lo[new], hi[new], own[new] + start if batch else None)
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])

@@ -146,11 +146,17 @@ def fock_distribution(ks, mean_n,
                       distribution: Literal["coherent", "thermal"]):
     """Poisson ("coherent") or geometric ("thermal") Fock probabilities.
 
-    Evaluated at the nonnegative indices ``ks`` for mean ``mean_n``, in
-    the log domain; ``mean_n = 0`` is the vacuum.  An array ``mean_n``
-    gives one row per entry, equal to the call with that entry alone.
+    Evaluated at the nonnegative integer indices ``ks`` for mean
+    ``mean_n``, in the log domain; ``mean_n = 0`` is the vacuum.  An array
+    ``mean_n`` gives one row per entry, equal to the call with that entry
+    alone.  Raises ValueError naming the first index that is negative or
+    not an integer.
     """
     ks = np.asarray(ks)
+    bad = ks[~np.isfinite(ks) | (ks < 0) | (np.floor(ks) != ks)]
+    if bad.size:
+        raise ValueError(f"Fock indices must be nonnegative integers, got "
+                         f"{bad.flat[0].item()!r}")
     n = np.asarray(mean_n, dtype=float)
     n = n.reshape(n.shape + (1,) * ks.ndim)
     # math.log per entry, as a float mean_n takes it; the vacuum is set below
@@ -251,24 +257,28 @@ def _directed_rates(v, hw_p, shifts: dict, hw_s: float,
 
     The sums run over the tunnelling directions and the sidebands
     ``shifts``.  Broadcasts over arrays of device bias ``v``, photon
-    energy ``hw_p`` and sideband weights; every energy of the call goes
-    through one batched ``forward_rate``.  A scalar result comes back as
-    floats.
+    energy ``hw_p`` and sideband weights, which share one shape; every
+    energy of the call goes through one batched ``forward_rate``.  A
+    scalar result comes back as floats.
     """
-    vj, hw_p = np.broadcast_arrays(np.asarray(v, dtype=float) / dev.junctions,
-                                   np.asarray(hw_p, dtype=float))
     en = dev.charging_energy
-    terms = [(w, tau * E_CHARGE * vj + (s * hw_s - en))
-             for s, w in shifts.items() if np.any(w) for tau in (1.0, -1.0)]
-    up = down = np.zeros(np.broadcast_shapes(
-        vj.shape, *map(np.shape, shifts.values())))
+    terms = [(w, tau * E_CHARGE, s * hw_s - en) for s, w in shifts.items()
+             if np.count_nonzero(w) for tau in (1.0, -1.0)]
     if terms:
-        base = np.stack([b for _, b in terms])
-        rates = forward_rate(np.stack([base + hw_p, base - hw_p]), j,
+        up = down = 0.0
+        # the energies [direction, ..., term]: absorbed, then emitted
+        vj = np.asarray(v, dtype=float)[..., None] / dev.junctions
+        base = (np.array([t[1] for t in terms]) * vj
+                + np.array([t[2] for t in terms]))
+        hw = np.asarray(hw_p, dtype=float)[..., None]
+        rates = forward_rate(np.array([base + hw, base - hw]), j,
                              epsrel=epsrel)
-        for (w, _), f_down, f_up in zip(terms, rates[0], rates[1]):
-            down = down + w * f_down
-            up = up + w * f_up
+        for k, (w, _, _) in enumerate(terms):
+            down = down + w * rates[0, ..., k]
+            up = up + w * rates[1, ..., k]
+    else:   # no sideband weighs anything: zeros of the broadcast shape
+        up = down = np.zeros(np.broadcast_shapes(
+            np.shape(v), np.shape(hw_p), *map(np.shape, shifts.values())))
     # one identical term per junction of the series array
     pref = dev.junctions * math.pi * mode.alpha**2 * mode.impedance / j.r_t
     if np.ndim(up) == 0:

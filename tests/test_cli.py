@@ -955,7 +955,8 @@ class TestStartup:
         # a fresh interpreter: this process has long imported everything.
         # scipy is blocked there, so importing any of it fails.  None of
         # these commands may load scipy, jsonschema, concurrent.futures,
-        # logging or numpy.ma, and only a noisy calibrate numpy.random.
+        # logging, numpy.ma or numpy.polynomial, and only a noisy calibrate
+        # numpy.random.
         src = str(Path(qcrlab.__file__).resolve().parent.parent)
         path = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -989,7 +990,8 @@ class TestStartup:
             "import json, sys\n"
             "sys.modules['scipy'] = None\n"
             "BLOCKED = ('scipy', 'jsonschema', 'logging',\n"
-            "           'concurrent.futures', 'numpy.random', 'numpy.ma')\n"
+            "           'concurrent.futures', 'numpy.random', 'numpy.ma',\n"
+            "           'numpy.polynomial')\n"
             "def loaded():\n"
             "    return sorted(m for m, mod in sys.modules.items()\n"
             "                  if mod is not None and any(\n"
@@ -1037,3 +1039,24 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": path})
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout) == []
+
+    def test_module_entry_runs_a_shipped_config(self, tmp_path):
+        # python -m qcrlab goes through __main__.py; its table and sidecar
+        # are those of an in-process run of the same config
+        out = tmp_path / "sweep_bias.csv"
+        meta = tmp_path / "sweep_bias.csv.meta.json"
+        args = ["--config", str(CONFIG_DIR / "sweep_bias.json"),
+                "--out", str(out)]
+        src = str(Path(qcrlab.__file__).resolve().parent.parent)
+        res = subprocess.run(
+            [sys.executable, "-m", "qcrlab", *args], capture_output=True,
+            text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        blobs = out.read_bytes(), meta.read_bytes()
+        out.unlink()
+        meta.unlink()
+        assert main(args) == 0
+        assert (out.read_bytes(), meta.read_bytes()) == blobs

@@ -106,6 +106,11 @@ class TestPulseSchedule:
         assert sched.voltage(14.0) == pytest.approx(1.0)  # mid-fall
         assert sched.voltage(20.0) == 0.0
         assert sched.t_end_pulse == pytest.approx(15.0)
+        # an array of times, the corners included
+        ts = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 13.0, 14.0, 15.0, 20.0])
+        np.testing.assert_allclose(
+            sched.voltage(ts), [0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0],
+            rtol=1e-15, atol=0)
 
     def test_breakpoints_sorted_unique(self):
         sched = PulseSchedule(v_on=1.0, width=5.0, rise_fall=0.0,
@@ -118,6 +123,10 @@ class TestPulseSchedule:
             PulseSchedule(v_on=1.0, width=-1.0)
         with pytest.raises(ValueError):
             PulseSchedule(v_on=1.0, width=1.0, rise_fall=-0.5)
+        # NaN fails the check too
+        for field in ("width", "rise_fall", "t_start"):
+            with pytest.raises(ValueError, match="schedule times"):
+                PulseSchedule(**{"v_on": 1.0, "width": 1.0, field: math.nan})
 
 
 class TestEvolve:
@@ -245,6 +254,12 @@ class TestEvolve:
                    t_eval=[2e-9])
         with pytest.raises(ValueError):
             evolve(init, sched, const_env(0.0, 1e6), t_end=-1.0)
+        # NaN fails the checks
+        with pytest.raises(ValueError, match="t_eval"):
+            evolve(init, sched, const_env(0.0, 1e6), t_end=1e-9,
+                   t_eval=[0.5e-9, math.nan])
+        with pytest.raises(ValueError, match="t_end"):
+            evolve(init, sched, const_env(0.0, 1e6), t_end=math.nan)
 
 
 def ode_oracle(init, sched, env, extra_gamma, extra_occupation, t_end,

@@ -53,6 +53,15 @@ class TestOccupationProb:
 
 
 class TestFockDistribution:
+    @pytest.mark.parametrize("distribution", ["coherent", "thermal"])
+    @pytest.mark.parametrize("ks, named", [
+        (-1, "-1"), (0.5, "0.5"), ([0, 2, -3, 1.5], "-3.0"),
+        (np.array([[0.0, 1.0], [2.5, -1.0]]), "2.5"), ([1, np.nan], "nan")])
+    def test_rejects_a_negative_or_fractional_index(self, distribution, ks,
+                                                    named):
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            spectrum.fock_distribution(ks, 1.0, distribution)
+
     @given(st.floats(-3.0, 3.5).map(lambda x: 10.0 ** x))
     def test_poisson_matches_gammaln(self, mean_n):
         ks = np.arange(int(mean_n + 12.0 * math.sqrt(mean_n) + 60.0))
