@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._record import Frozen, Record
 from .errors import ConvergenceError, FitError, TruncationError
 from .junction import DeviceConfig, JunctionParams
 from .pchip import Pchip
@@ -54,8 +55,8 @@ def solve_ivp(*args, **kwargs):
     return _solve_ivp(*args, **kwargs)
 
 
-@dataclass
-class LadderState:
+@dataclass(init=False, repr=False, eq=False)
+class LadderState(Record):
     """Probability distribution over Fock states 0..n_cut."""
 
     probs: np.ndarray
@@ -64,11 +65,16 @@ class LadderState:
         self.probs = np.asarray(self.probs, dtype=float).copy()
         if self.probs.ndim != 1:
             raise ValueError("probs must be one-dimensional")
-        if np.any(self.probs < -1e-12):
-            raise ValueError("probabilities must be nonnegative")
+        # written so that NaN fails it
+        bad = self.probs[~(self.probs >= -1e-12)]
+        if bad.size:
+            raise ValueError(f"probabilities must be nonnegative, got "
+                             f"{bad[0].item()!r}")
         self.probs = np.clip(self.probs, 0.0, None)
-        if abs(self.probs.sum() - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to one")
+        total = self.probs.sum()
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"probabilities must sum to one, got "
+                             f"{total.item()!r}")
 
     @classmethod
     def ground(cls, n_cut: int = 30) -> "LadderState":
@@ -87,9 +93,10 @@ class LadderState:
     @classmethod
     def _renormalised(cls, mean_n: float, n_cut: int,
                       distribution: str) -> "LadderState":
-        """The distribution cut at ``n_cut``; the cut must keep 1 - 1e-6."""
-        if mean_n < 0:
-            raise ValueError("mean photon number must be nonnegative")
+        """The distribution cut at ``n_cut``; the cut must keep 1 - 1e-6.
+
+        ``fock_distribution`` checks ``mean_n``.
+        """
         p = fock_distribution(np.arange(n_cut + 1), mean_n, distribution)
         kept = p.sum()
         if kept < 1.0 - 1e-6:
@@ -106,8 +113,8 @@ class LadderState:
         return float(np.arange(self.n_cut + 1) @ self.probs)
 
 
-@dataclass(frozen=True)
-class PulseSchedule:
+@dataclass(init=False, repr=False, eq=False)
+class PulseSchedule(Frozen):
     """Trapezoidal bias waveform: off level, ramp, flat top, ramp, off."""
 
     v_on: float
@@ -147,8 +154,8 @@ class PulseSchedule:
         return float(v) if v.ndim == 0 else v
 
 
-@dataclass
-class LadderTrajectory:
+@dataclass(init=False, repr=False, eq=False)
+class LadderTrajectory(Record):
     """The ladder at ``times``: ``init`` mapped through ``eta`` and ``n``."""
 
     times: np.ndarray

@@ -20,9 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ._record import Frozen
 
-@dataclass(frozen=True)
-class TwoModeParams:
+
+@dataclass(init=False, repr=False, eq=False)
+class TwoModeParams(Frozen):
     """Two lossy modes with coherent coupling g (angular units, rad/s)."""
 
     omega1: float
@@ -94,8 +96,8 @@ def ep_locus(p_template: TwoModeParams) -> list[tuple[float, float]]:
     return [(0.0, k2) for k2 in (k1 - 4.0 * g, k1 + 4.0 * g) if k2 >= 0.0]
 
 
-@dataclass(frozen=True)
-class FluxMap:
+@dataclass(init=False, repr=False, eq=False)
+class FluxMap(Frozen):
     """SQUID-tuned mode-2 frequency versus flux (in units of Phi_0)."""
 
     phi_grid: tuple[float, ...]

@@ -23,13 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Frozen
 from .errors import QuadratureError
 from .quadrature import adaptive_quad
 from .units import K_B, PLANCK
 
 
-@dataclass(frozen=True)
-class JunctionParams:
+@dataclass(init=False, repr=False, eq=False)
+class JunctionParams(Frozen):
     """Electrical parameters of one NIS tunnel junction.
 
     Parameters
@@ -62,8 +63,8 @@ class JunctionParams:
             raise ValueError("electron temperature must be nonnegative")
 
 
-@dataclass(frozen=True)
-class DeviceConfig:
+@dataclass(init=False, repr=False, eq=False)
+class DeviceConfig(Frozen):
     """Junction-count and island parameters of the refrigerator element.
 
     ``junctions=2`` describes the symmetric series (SINIS) configuration

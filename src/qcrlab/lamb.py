@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._record import Frozen
 from .errors import GridError, QuadratureError
 from .pchip import Pchip
 from .quadrature import adaptive_quad
@@ -32,8 +33,8 @@ from .spectrum import SpectralDensity
 SHIFT_EPSREL = 1e-11
 
 
-@dataclass(frozen=True)
-class LambResult:
+@dataclass(init=False, repr=False, eq=False)
+class LambResult(Frozen):
     """Frequency pull ``shift`` (rad/s) and its quadrature error estimate.
 
     ``abs_err`` excludes two larger errors.  The PCHIP table's: at 1201

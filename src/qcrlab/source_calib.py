@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._record import Frozen
 from .errors import (ConfigError, FitError, GridError,
                      UndefinedSteadyStateError)
 from .junction import DeviceConfig, JunctionParams
@@ -23,8 +24,8 @@ from .tableio import read_table
 from .units import E_CHARGE, HBAR, K_B
 
 
-@dataclass(frozen=True)
-class PhotonSourceParams:
+@dataclass(init=False, repr=False, eq=False)
+class PhotonSourceParams(Frozen):
     """Resonator-to-line coupling geometry for the emitted-power formula."""
 
     c_coupling: float   # coupling capacitance (F)
@@ -39,8 +40,8 @@ class PhotonSourceParams:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class CalibrationParams:
+@dataclass(init=False, repr=False, eq=False)
+class CalibrationParams(Frozen):
     """Rates and occupations entering the high-voltage power expansion."""
 
     gamma_tr: float     # resonator-line coupling rate (1/s)
@@ -61,8 +62,8 @@ class CalibrationParams:
             raise ValueError("delta must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CalibrationRecord:
+@dataclass(init=False, repr=False, eq=False)
+class CalibrationRecord(Frozen):
     """Result of the output-power fit and derived chain figures."""
 
     a: float            # W/V
@@ -275,8 +276,8 @@ def junction_occupation(rates: RatePair):
     return rates.up / (rates.down - rates.up)
 
 
-@dataclass(frozen=True)
-class SourcePoint:
+@dataclass(init=False, repr=False, eq=False)
+class SourcePoint(Frozen):
     """Composed photon-source observables at one bias, or over a bias array."""
 
     bias: float

@@ -28,14 +28,15 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
+from ._record import Frozen, Record
 from .errors import (GridError, NonpositiveTemperatureError, QcrlabError,
                      TruncationError, UndefinedSteadyStateError)
 from .junction import DeviceConfig, JunctionParams, forward_rate
 from .units import E_CHARGE, HBAR, K_B, R_K
 
 
-@dataclass(frozen=True)
-class ModeParams:
+@dataclass(init=False, repr=False, eq=False)
+class ModeParams(Frozen):
     """One harmonic mode coupled to the junction environment.
 
     ``alpha`` is the capacitive coupling fraction entering the rate
@@ -66,8 +67,8 @@ class ModeParams:
         return self.alpha * math.sqrt(math.pi * self.impedance / R_K)
 
 
-@dataclass(frozen=True)
-class DriveState:
+@dataclass(init=False, repr=False, eq=False)
+class DriveState(Frozen):
     """Photon statistics of the supporting mode.
 
     ``distribution`` selects Poisson ("coherent") or geometric
@@ -82,8 +83,7 @@ class DriveState:
     fock_cut: int = 40
 
     def __post_init__(self):
-        if np.any(np.asarray(self.mean_n) < 0):
-            raise ValueError("mean photon number must be nonnegative")
+        _checked_mean(self.mean_n)
         if self.distribution not in ("coherent", "thermal"):
             raise ValueError("distribution must be 'coherent' or 'thermal'")
         if self.l_max < 0 or self.fock_cut < 0:
@@ -101,8 +101,8 @@ class RatePair(NamedTuple):
         return self.down - self.up
 
 
-@dataclass
-class SpectralDensity:
+@dataclass(init=False, repr=False, eq=False)
+class SpectralDensity(Record):
     """Coupling rate tabulated on a strictly increasing frequency grid."""
 
     grid: np.ndarray
@@ -142,6 +142,17 @@ def log_factorial(k) -> np.ndarray:
     return np.array([math.lgamma(x + 1.0) for x in k.flat]).reshape(k.shape)
 
 
+def _checked_mean(mean_n) -> np.ndarray:
+    """``mean_n`` as a float array; ValueError naming the first entry that
+    is negative or not finite."""
+    n = np.asarray(mean_n, dtype=float)
+    bad = n[~np.isfinite(n) | (n < 0)]
+    if bad.size:
+        raise ValueError(f"mean photon numbers must be finite and "
+                         f"nonnegative, got {bad.flat[0].item()!r}")
+    return n
+
+
 def fock_distribution(ks, mean_n,
                       distribution: Literal["coherent", "thermal"]):
     """Poisson ("coherent") or geometric ("thermal") Fock probabilities.
@@ -150,14 +161,14 @@ def fock_distribution(ks, mean_n,
     ``mean_n``, in the log domain; ``mean_n = 0`` is the vacuum.  An array
     ``mean_n`` gives one row per entry, equal to the call with that entry
     alone.  Raises ValueError naming the first index that is negative or
-    not an integer.
+    not an integer, or the first mean that is negative or not finite.
     """
     ks = np.asarray(ks)
     bad = ks[~np.isfinite(ks) | (ks < 0) | (np.floor(ks) != ks)]
     if bad.size:
         raise ValueError(f"Fock indices must be nonnegative integers, got "
                          f"{bad.flat[0].item()!r}")
-    n = np.asarray(mean_n, dtype=float)
+    n = _checked_mean(mean_n)
     n = n.reshape(n.shape + (1,) * ks.ndim)
     # math.log per entry, as a float mean_n takes it; the vacuum is set below
     log = np.vectorize(lambda x: math.log(x) if x > 0 else 0.0, otypes=[float])

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import ConfigError
 
 
@@ -24,8 +25,8 @@ def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
-@dataclass
-class Table:
+@dataclass(init=False, repr=False, eq=False)
+class Table(Record):
     columns: list[str]          # "name (unit)" labels
     data: np.ndarray            # shape (n_rows, n_cols)
     comments: list[str]         # comment lines without '#' prefix
@@ -45,8 +46,9 @@ def write_table(path: str, columns: Sequence[str],
         raise ValueError("column count does not match data width")
     lines = [f"# {c}" for c in comments]
     lines.append("# " + ", ".join(columns))
-    for row in data:
-        lines.append(",".join(format_float(x) for x in row))
+    # one format per row: "%.17g" of each Python float, as format_float
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines.extend(row_format % tuple(row) for row in data.tolist())
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -13,14 +13,15 @@ import math
 import sys
 from dataclasses import dataclass
 
+from ._record import Frozen
 from .errors import ConvergenceError
 from .units import HBAR, K_B
 
 _PHOTON_COEFF = math.pi * K_B ** 2 / (12.0 * HBAR)  # W/K^2
 
 
-@dataclass(frozen=True)
-class ThermalNetwork:
+@dataclass(init=False, repr=False, eq=False)
+class ThermalNetwork(Frozen):
     """Two-island network: photon channel + electron-phonon + constant load."""
 
     t0: float                    # phonon bath temperature (K)

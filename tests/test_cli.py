@@ -1017,6 +1017,35 @@ class TestStartup:
             "qcrlab": [], "qcrlab.cli": [], "solve_ivp": True,
             **{name: [0, []] for name in runs if name != "calibrate"}}
 
+    def test_value_classes_share_the_record_methods(self):
+        # @dataclass compiles these methods with exec for each class it
+        # makes, about 1 ms apiece at import; every dataclass of the
+        # package takes them from qcrlab._record instead
+        import dataclasses
+        import importlib
+        import pkgutil
+
+        from qcrlab._record import Frozen, Record
+
+        modules = [importlib.import_module(f"qcrlab.{m.name}")
+                   for m in pkgutil.iter_modules(qcrlab.__path__)
+                   if m.name != "__main__"]
+        classes = {obj for m in modules for obj in vars(m).values()
+                   if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+                   and obj.__module__ == m.__name__}
+        assert len(classes) == 17
+        mutable = {c.__name__ for c in classes if not issubclass(c, Frozen)}
+        assert mutable == {"LadderState", "LadderTrajectory",
+                           "SpectralDensity", "Table"}
+        for cls in classes:
+            base = Frozen if issubclass(cls, Frozen) else Record
+            shared = ["__init__", "__eq__", "__repr__", "__hash__"]
+            if base is Frozen:
+                shared += ["__setattr__", "__delattr__"]
+            assert issubclass(cls, Record)
+            assert [n for n in shared if n in vars(cls)] == [], cls
+            assert all(getattr(cls, n) is getattr(base, n) for n in shared)
+
     def test_bench_trace_hooks_install(self):
         # bench/child.py --trace wraps module attributes by name; a renamed
         # or dropped import would make install() raise AttributeError

@@ -95,6 +95,21 @@ class TestLadderState:
         with pytest.raises(ValueError):
             LadderState.coherent(-1.0)
 
+    @pytest.mark.parametrize("probs, named", [
+        ([math.nan, 1.0], "got nan$"), ([1.0, math.nan], "got nan$"),
+        ([math.inf, 1.0], "sum to one, got inf$")])
+    def test_nan_probabilities_fail_validation(self, probs, named):
+        # NaN passed every comparison of the checks, and evolve carried it
+        with pytest.raises(ValueError, match=named):
+            LadderState(np.array(probs))
+
+    @pytest.mark.parametrize("make", [LadderState.coherent,
+                                      LadderState.thermal])
+    def test_nan_mean_fails_validation(self, make):
+        # thermal gave a uniform ladder, the log guard taking NaN for 0
+        with pytest.raises(ValueError, match="got nan$"):
+            make(math.nan, 5)
+
 
 class TestPulseSchedule:
     def test_trapezoid_waveform(self):

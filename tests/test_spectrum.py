@@ -51,6 +51,13 @@ class TestOccupationProb:
         assert p[0] == 1.0
         assert p[1] == 0.0
 
+    @pytest.mark.parametrize("mean_n, named", [
+        (math.nan, "nan"), ([1.0, math.nan], "nan"), (math.inf, "inf")])
+    def test_nan_mean_fails_validation(self, mean_n, named):
+        # NaN passed the check, and inf failed only in fock_distribution
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            DriveState(mean_n=mean_n)
+
 
 class TestFockDistribution:
     @pytest.mark.parametrize("distribution", ["coherent", "thermal"])
@@ -61,6 +68,16 @@ class TestFockDistribution:
                                                     named):
         with pytest.raises(ValueError, match=f"got {named}$"):
             spectrum.fock_distribution(ks, 1.0, distribution)
+
+    @pytest.mark.parametrize("distribution", ["coherent", "thermal"])
+    @pytest.mark.parametrize("mean_n, named", [
+        (math.nan, "nan"), (-0.5, "-0.5"), ([2.0, math.inf], "inf")])
+    def test_rejects_a_negative_or_nonfinite_mean(self, distribution,
+                                                  mean_n, named):
+        # the log guard read NaN as the vacuum's 0: thermal gave a uniform
+        # distribution, coherent NaN probabilities
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            spectrum.fock_distribution(np.arange(6), mean_n, distribution)
 
     @given(st.floats(-3.0, 3.5).map(lambda x: 10.0 ** x))
     def test_poisson_matches_gammaln(self, mean_n):

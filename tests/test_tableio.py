@@ -17,6 +17,19 @@ class TestFloatFormat:
     def test_plain_integers_stay_short(self):
         assert format_float(281.0) == "281"
 
+    def test_table_rows_format_as_format_float(self, tmp_path):
+        # write_table formats a whole row at once; each field must read as
+        # format_float of its value
+        data = np.array([[-0.0, 5e-324, 2.2250738585072009e-308],
+                         [np.inf, -np.inf, np.nan],
+                         [2.0 ** 53 + 2.0, -(2.0 ** 64), 1e300],
+                         [0.1, -1.0 / 3.0, 281.0]])
+        path = tmp_path / "t.csv"
+        write_table(str(path), ["a", "b", "c"], data)
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [",".join(format_float(x) for x in row)
+                        for row in data]
+
 
 class TestRoundTrip:
     def write_sample(self, path):
