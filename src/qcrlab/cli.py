@@ -23,6 +23,17 @@ run prints one ``config error:`` or ``numeric error:`` line to stderr and
 writes nothing: a config that is not UTF-8 JSON, an unreadable input
 table and an output path that cannot be written as a file are
 configuration errors, each found before anything is written.
+
+Importing this module ends with one ``gc.freeze()``.  Everything alive
+then (the interpreter, the standard library, numpy and qcrlab's modules,
+about 22,000 objects the cyclic collector tracks) lives until a CLI
+process exits, so moving it into the collector's permanent generation
+spares every later collection, and the full collections CPython forces
+while finalising, from traversing it again: a process exits about 20 ms
+sooner.  It is done at import, once per process, not in ``main``, whose
+in-process callers would have their garbage frozen at every call.
+``import qcrlab`` does not import this module, so a host application
+that uses the library keeps its collector as it was.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
+import gc
 import json
 import math
 import operator
@@ -679,3 +691,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+# last, so that every import-time object is frozen: see the module docstring
+gc.freeze()

@@ -302,7 +302,13 @@ def transition_rates(v, mode: ModeParams, j: JunctionParams,
     """Directed photon rates of a mode coupled to dc-biased junctions.
 
     Broadcasts over device biases ``v`` (volts) in one batched ``F(E)``
-    call, each entry equal to the scalar call; a float ``v`` gives floats.
+    call; a float ``v`` gives floats.  Each entry is the scalar call at its
+    bias to within ``epsrel``.  It is that call bitwise while the batch has
+    fewer than 25 distinct ``|E|`` (at most four per bias), which are
+    integrated directly, since an ``adaptive_quad`` result does not depend
+    on its batch.  With more, ``forward_rate`` reads its interpolant: at
+    10 mK and ``epsrel=1e-9``, 101 biases over ``[0, 2 delta/e]`` differ
+    from their scalar calls by up to 8.1e-13 relative.
     """
     return _directed_rates(v, HBAR * mode.omega, {0: 1.0}, 0.0, mode, j, dev,
                            epsrel)

@@ -289,7 +289,7 @@ def test_criterion_10_global_invariants(junction_50ghz, device, mode_10ghz,
     cfg_path.write_text(json.dumps(cfg))
     out = str(tmp_path / "run.csv")
     assert cli_main(["--config", str(cfg_path), "--out", out]) == 0
-    first = open(out, "rb").read(), open(out + ".meta.json", "rb").read()
+    first = Path(out).read_bytes(), Path(out + ".meta.json").read_bytes()
     assert cli_main(["--config", str(cfg_path), "--out", out]) == 0
-    second = open(out, "rb").read(), open(out + ".meta.json", "rb").read()
+    second = Path(out).read_bytes(), Path(out + ".meta.json").read_bytes()
     assert first == second

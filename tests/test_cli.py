@@ -247,11 +247,11 @@ class TestSweepRuns:
         path = fast_sweep_cfg(tmp_path)
         out = str(tmp_path / "sweep.csv")
         assert main(["sweep-bias", "--config", path, "--out", out]) == 0
-        blob_csv = open(out, "rb").read()
-        blob_meta = open(out + ".meta.json", "rb").read()
+        blob_csv = Path(out).read_bytes()
+        blob_meta = Path(out + ".meta.json").read_bytes()
         assert main(["--config", path, "--out", out]) == 0
-        assert open(out, "rb").read() == blob_csv
-        assert open(out + ".meta.json", "rb").read() == blob_meta
+        assert Path(out).read_bytes() == blob_csv
+        assert Path(out + ".meta.json").read_bytes() == blob_meta
 
         t = read_table(out)
         rates = t.column("gamma_down")
@@ -331,7 +331,7 @@ class TestSweepRuns:
         assert main(["--config", path, "--out", out1]) == 0
         assert main(["--config", path, "--out", out4,
                      "--threads", "4"]) == 0
-        assert open(out1, "rb").read() == open(out4, "rb").read()
+        assert Path(out1).read_bytes() == Path(out4).read_bytes()
 
     @pytest.mark.parametrize("name", ["sweep_bias.json", "lamb_shift.json",
                                       "rf_sweep.json", "reset_sim.json",
@@ -401,7 +401,7 @@ class TestSweepRuns:
         t = read_table(out)
         p0 = t.column("p0")
         assert p0[-1] > 0.9
-        meta = json.loads(open(out + ".meta.json").read())
+        meta = json.loads(Path(out + ".meta.json").read_text())
         assert meta["infidelity_final"] == pytest.approx(1.0 - p0[-1],
                                                          abs=1e-12)
         assert meta["rates_on_per_s"]["down"] > meta["rates_off_per_s"]["down"]
@@ -496,7 +496,7 @@ class TestSweepRuns:
         up = t.column("gamma_up")
         assert up[-1] > max(1.0, 10.0 * up[0])
         assert np.all(t.column("gamma_down") > 0)
-        meta = json.loads(open(out + ".meta.json").read())
+        meta = json.loads(Path(out + ".meta.json").read_text())
         assert meta["rho_support"] > 0
 
     def test_source_power_changes_sign(self, tmp_path):
@@ -578,7 +578,7 @@ class TestSweepRuns:
             out = str(tmp_path / f"ep_{k1}.csv")
             assert main(["--config", dump_cfg(tmp_path, cfg),
                          "--out", out]) == 0
-            meta = json.loads(open(out + ".meta.json").read())
+            meta = json.loads(Path(out + ".meta.json").read_text())
             locus = meta["ep_locus"]
             assert len(locus) == 1
             assert locus[0]["kappa2_mhz"] == pytest.approx(k1 + 4 * g,
@@ -632,7 +632,7 @@ class TestCalibrateCommand:
         out = str(tmp_path / "cal.json")
         assert main(["--config", dump_cfg(tmp_path, cfg), "--out", out,
                      "--seed", "7"]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         inj = payload["injected"]
         rec = payload["record"]
         assert payload["n_samples"] == 50
@@ -647,7 +647,7 @@ class TestCalibrateCommand:
             out = str(tmp_path / f"cal{len(outs)}.json")
             assert main(["--config", path, "--out", out,
                          "--seed", seed]) == 0
-            outs[out] = json.loads(open(out).read())["record"]["gain"]
+            outs[out] = json.loads(Path(out).read_text())["record"]["gain"]
         gains = list(outs.values())
         assert gains[0] == gains[1]
         assert gains[0] != gains[2]
@@ -658,7 +658,7 @@ class TestCalibrateCommand:
         out = str(tmp_path / "cal.json")
         assert main(["--config", dump_cfg(tmp_path, cfg),
                      "--out", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["record"]["gain"] == pytest.approx(
             payload["injected"]["gain"], rel=1e-6)
         assert payload["record"]["t_noise"] == pytest.approx(
@@ -726,7 +726,7 @@ class TestCalibrateCommand:
         cfg["reflection_csv"] = path
         out = str(tmp_path / "cal.json")
         assert main(["--config", dump_cfg(tmp_path, cfg), "--out", out]) == 0
-        fit = json.loads(open(out).read())["reflection_fit"]
+        fit = json.loads(Path(out).read_text())["reflection_fit"]
         assert 2.0 * math.pi * 1e9 * fit["f_r_ghz"] == pytest.approx(
             wr, abs=1e-3 * lw)
         assert fit["gamma_tr_per_s"] == pytest.approx(gtr, rel=1e-6)
@@ -951,15 +951,23 @@ class TestCliProperties:
 
 
 class TestStartup:
+    @staticmethod
+    def probe(code, *args):
+        # run ``code`` in a fresh interpreter and read the JSON it prints
+        src = str(Path(qcrlab.__file__).resolve().parent.parent)
+        res = subprocess.run(
+            [sys.executable, "-c", code, *args], check=True,
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        return json.loads(res.stdout)
+
     def test_cli_import_defers_scipy_submodules(self, tmp_path):
         # a fresh interpreter: this process has long imported everything.
         # scipy is blocked there, so importing any of it fails.  None of
         # these commands may load scipy, jsonschema, concurrent.futures,
         # logging, numpy.ma or numpy.polynomial, and only a noisy calibrate
         # numpy.random.
-        src = str(Path(qcrlab.__file__).resolve().parent.parent)
-        path = os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))
         runs = {}
 
         def add(name, cfg):
@@ -986,7 +994,7 @@ class TestStartup:
         add("calibrate-reflection", quiet)
         # last, since the modules it loads stay loaded
         runs["calibrate"] = runs.pop("calibrate")
-        probe = (
+        report = self.probe(
             "import json, sys\n"
             "sys.modules['scipy'] = None\n"
             "BLOCKED = ('scipy', 'jsonschema', 'logging',\n"
@@ -1005,17 +1013,44 @@ class TestStartup:
             "    vars(qcrlab.dynamics).get('solve_ivp'))\n"
             "for name, args in json.loads(sys.argv[1]).items():\n"
             "    report[name] = [qcrlab.cli.main(args), loaded()]\n"
-            "print(json.dumps(report))\n")
-        res = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
-                             check=True, capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path})
-        report = json.loads(res.stdout)
+            "print(json.dumps(report))\n", json.dumps(runs))
         code, modules = report.pop("calibrate")
         assert code == 0 and modules
         assert all(m.startswith("numpy.random") for m in modules), report
         assert report == {
             "qcrlab": [], "qcrlab.cli": [], "solve_ivp": True,
             **{name: [0, []] for name in runs if name != "calibrate"}}
+
+    def test_cli_import_freezes_the_import_time_objects(self, tmp_path):
+        # the ~20,000 objects numpy and the package leave tracked would be
+        # traversed by every full collection, the ones CPython forces at
+        # exit included; importing the CLI moves them out of the collector
+        runs = {name: ["--config", dump_cfg(tmp_path, small_config(name),
+                                            name),
+                       "--out", str(tmp_path / f"{name}.csv")]
+                for name in ("ep_map.json", "calibrate.json")}
+        assert load_example("calibrate.json")["synthesize"]["noise_sigma_w"]
+        report = self.probe(
+            "import gc, json, sys\n"
+            "import qcrlab.cli\n"
+            "report = {'import': [gc.get_freeze_count(),\n"
+            "                     len(gc.get_objects())]}\n"
+            "for name, args in json.loads(sys.argv[1]).items():\n"
+            "    report[name] = [qcrlab.cli.main(args),\n"
+            "                    len(gc.get_objects())]\n"
+            "print(json.dumps(report))\n", json.dumps(runs))
+        frozen, tracked = report.pop("import")
+        assert frozen > 10_000 and tracked < 1_000, (frozen, tracked)
+        assert all(rc == 0 and n < 2_000 for rc, n in report.values()), report
+        assert report.keys() == runs.keys()
+
+    def test_library_import_leaves_the_collector_alone(self):
+        # a host application's cyclic garbage must stay collectable
+        assert self.probe(
+            "import gc, json, sys\n"
+            "import qcrlab\n"
+            "print(json.dumps([gc.get_freeze_count(),\n"
+            "                  'qcrlab.cli' in sys.modules]))\n") == [0, False]
 
     def test_value_classes_share_the_record_methods(self):
         # @dataclass compiles these methods with exec for each class it

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
-from qcrlab import spectrum
+from qcrlab import junction, spectrum
 from qcrlab import (DeviceConfig, DriveState, JunctionParams, ModeParams,
                     RatePair, SpectralDensity, effective_temperature,
                     fock_matrix_sq, on_off_ratio, optimal_bias,
@@ -19,7 +19,8 @@ from qcrlab import (DeviceConfig, DriveState, JunctionParams, ModeParams,
 from qcrlab.errors import (GridError, NonpositiveTemperatureError,
                            QcrlabError, TruncationError,
                            UndefinedSteadyStateError)
-from qcrlab.units import E_CHARGE, HBAR, K_B, R_K, ghz_to_omega
+from qcrlab.units import (E_CHARGE, HBAR, K_B, R_K, ghz_to_omega,
+                          uev_to_joule)
 
 EPS = 1e-9  # quadrature tolerance for the cheaper checks
 
@@ -228,6 +229,26 @@ class TestTransitionRates:
                                    epsrel=EPS)
         assert soft_r.down == pytest.approx(2.0 * stiff_r.down, rel=1e-12)
         assert soft_r.up == pytest.approx(2.0 * stiff_r.up, rel=1e-12)
+
+    @pytest.mark.parametrize("points", [12, 101])
+    def test_batch_against_scalar_calls(self, device, mode_10ghz, points):
+        # 12 biases bring 23 distinct |E|, integrated directly as a scalar
+        # call's are, and an adaptive_quad result does not depend on its
+        # batch; 101 bring 201, read from the F(E) interpolant
+        j = JunctionParams(delta=uev_to_joule(206.8), dynes=1e-4, r_t=15e3,
+                           temp_n=0.01)
+        v = np.linspace(0.0, 2.0 * j.delta / E_CHARGE, points)
+        with mock.patch.object(junction, "_clenshaw",
+                               wraps=junction._clenshaw) as interpolant:
+            batch = transition_rates(v, mode_10ghz, j, device, epsrel=EPS)
+        assert interpolant.called == (points > 12)
+        scalar = [transition_rates(x, mode_10ghz, j, device, epsrel=EPS)
+                  for x in v]
+        for got, want in ((batch.up, [r.up for r in scalar]),
+                          (batch.down, [r.down for r in scalar])):
+            np.testing.assert_allclose(got, want, rtol=EPS, atol=0.0)
+            if points == 12:
+                np.testing.assert_array_equal(got, want)
 
 
 class TestSteadyState:

@@ -1,5 +1,7 @@
 """Deterministic CSV table format tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ class TestRoundTrip:
         self.write_sample(p1)
         t = read_table(p1)
         write_table(p2, t.columns, t.data, comments=t.comments)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_column_lookup_by_prefix(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -119,9 +121,9 @@ class TestSidecar:
         meta = {"b": 2, "a": {"z": 1, "y": [3, 4]}}
         p1 = write_sidecar(base, meta)
         assert p1 == base + ".meta.json"
-        blob1 = open(p1, "rb").read()
+        blob1 = Path(p1).read_bytes()
         write_sidecar(base, {"a": {"y": [3, 4], "z": 1}, "b": 2})
-        assert open(p1, "rb").read() == blob1
+        assert Path(p1).read_bytes() == blob1
         assert blob1.startswith(b"{\n")
 
     def test_parent_dir_guard(self, tmp_path):
