@@ -7,7 +7,10 @@ fully-resolved parameters.  Each command is a function of its config
 alone: ``sweep-bias`` and ``source`` compute their bias axis, and
 ``rf-sweep`` its drive axis, in one batched rate call.  ``--threads`` is
 accepted and recorded in the sidecar but has no effect; ``--seed`` seeds
-only ``calibrate``'s synthetic noise.
+only ``calibrate``'s synthetic noise.  That noise is the stream of
+numpy's ``default_rng(seed).normal``, reproduced in the package
+(``qcrlab._normal``): it no longer depends on the installed numpy's
+generator, and no command imports ``numpy.random``.
 
 The schema is checked in this module, by ``_violations``, which
 implements exactly the draft 2020-12 keywords ``schema.json`` uses
@@ -496,10 +499,9 @@ def _cmd_ep_map(cfg: dict) -> tuple:
                             probe_blk["f_stop_ghz"], probe_blk["points"])
     amp = ep.transmission_map(fm, p, ghz_to_omega(freqs_ghz),
                               kappa_ext=kext)
-    rows = []
-    for i, phi in enumerate(fm.phi_grid):
-        for k, f in enumerate(freqs_ghz):
-            rows.append([phi, f, amp[i, k]])
+    rows = np.column_stack([np.repeat(fm.phi_grid, len(freqs_ghz)),
+                            np.tile(freqs_ghz, len(fm.phi_grid)),
+                            amp.ravel()])
     cols = ["phi (Phi_0)", "freq (GHz)", "s21_abs (1)"]
     meta: dict = {"kappa_ext_per_s": kext}
     meta["ep_locus"] = [{"delta_per_s": d, "kappa2_per_s": k,
@@ -588,10 +590,12 @@ def _run_calibrate(cfg: dict, out: str, seed: int) -> dict:
                           for v in volts]) + noise_floor
         p_zero = noise_floor
         if syn["noise_sigma_w"] > 0:
-            rng = np.random.default_rng(seed)
-            p_out = p_out + rng.normal(0.0, syn["noise_sigma_w"],
-                                       size=len(volts))
-            p_zero = p_zero + float(rng.normal(0.0, syn["noise_sigma_w"]))
+            # loaded only here, by the one command that draws noise; one
+            # stream: a deviate per sample, then one for p_zero
+            from ._normal import normal
+            noise = normal(seed, syn["noise_sigma_w"], len(volts) + 1)
+            p_out = p_out + noise[:-1]
+            p_zero = p_zero + noise[-1]
         samples = list(zip(volts.tolist(), p_out.tolist()))
         payload["injected"] = {"gain": syn["gain"],
                                "t_noise_k": syn["t_noise_k"]}

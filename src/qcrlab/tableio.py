@@ -21,6 +21,11 @@ from ._record import Record
 from .errors import ConfigError
 
 
+# Rows formatted and written at a time: memory stays bounded by a chunk,
+# not by the table.
+WRITE_CHUNK_ROWS = 1024
+
+
 def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
@@ -44,13 +49,14 @@ def write_table(path: str, columns: Sequence[str],
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != len(columns):
         raise ValueError("column count does not match data width")
-    lines = [f"# {c}" for c in comments]
-    lines.append("# " + ", ".join(columns))
     # one format per row: "%.17g" of each Python float, as format_float
-    row_format = ",".join(["%.17g"] * len(columns))
-    lines.extend(row_format % tuple(row) for row in data.tolist())
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write("# " + ", ".join(columns) + "\n")
+        for start in range(0, len(data), WRITE_CHUNK_ROWS):
+            chunk = data[start:start + WRITE_CHUNK_ROWS].tolist()
+            fh.write("".join(row_format % tuple(row) for row in chunk))
 
 
 def read_table(path: str) -> Table:

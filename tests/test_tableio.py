@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from qcrlab import ConfigError, Table, read_table, write_sidecar, write_table
-from qcrlab.tableio import ensure_parent_dir, format_float
+from qcrlab.tableio import (WRITE_CHUNK_ROWS, ensure_parent_dir,
+                            format_float)
+
+# rows of every kind format_float must render: signed zero, subnormals,
+# infinities, NaN, integers beyond 2**53 and repeating fractions
+SPECIAL_ROWS = [[-0.0, 5e-324, 2.2250738585072009e-308],
+                [np.inf, -np.inf, np.nan],
+                [2.0 ** 53 + 2.0, -(2.0 ** 64), 1e300],
+                [0.1, -1.0 / 3.0, 281.0]]
 
 
 class TestFloatFormat:
@@ -22,15 +30,42 @@ class TestFloatFormat:
     def test_table_rows_format_as_format_float(self, tmp_path):
         # write_table formats a whole row at once; each field must read as
         # format_float of its value
-        data = np.array([[-0.0, 5e-324, 2.2250738585072009e-308],
-                         [np.inf, -np.inf, np.nan],
-                         [2.0 ** 53 + 2.0, -(2.0 ** 64), 1e300],
-                         [0.1, -1.0 / 3.0, 281.0]])
+        data = np.array(SPECIAL_ROWS)
         path = tmp_path / "t.csv"
         write_table(str(path), ["a", "b", "c"], data)
         rows = path.read_text().splitlines()[1:]
         assert rows == [",".join(format_float(x) for x in row)
                         for row in data]
+
+
+def one_string_write_table(path, columns, data, comments=()):
+    """The writer that built the whole file as one string, kept as the
+    oracle of the chunked one."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    lines = [f"# {c}" for c in comments]
+    lines.append("# " + ", ".join(columns))
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines.extend(row_format % tuple(row) for row in data.tolist())
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestChunkedWriter:
+    CHUNK = WRITE_CHUNK_ROWS
+
+    @pytest.mark.parametrize("rows", [1, CHUNK - 1, CHUNK, CHUNK + 1, 7381])
+    @pytest.mark.parametrize("comments", [(), ("qcrlab ep-map", "run 2")])
+    def test_bytes_equal_one_string_writer(self, tmp_path, rows, comments):
+        rng = np.random.default_rng(rows)
+        data = rng.standard_normal((rows, 3)) \
+            * 10.0 ** rng.integers(-300, 300, (rows, 3))
+        data[:len(SPECIAL_ROWS)] = SPECIAL_ROWS[:rows]
+        cols = ["phi (Phi_0)", "freq (GHz)", "s21_abs (1)"]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_table(str(got), cols, data, comments=comments)
+        one_string_write_table(str(want), cols, data, comments=comments)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_text().splitlines()) == len(comments) + 1 + rows
 
 
 class TestRoundTrip:
