@@ -3,7 +3,10 @@
 Every run takes ``--config <file.json>`` validated against the schema
 shipped with the package, computes all sweep points, and only then
 writes the output table plus a ``<out>.meta.json`` sidecar holding the
-fully-resolved parameters.  Each command is a function of its config
+fully-resolved parameters.  A key the config leaves out takes its
+``default`` annotation in the schema, the one place defaults are written:
+a block's sit on its ``$defs`` properties, and a command's own ones in
+its ``allOf`` ``then`` branch.  Each command is a function of its config
 alone: ``sweep-bias`` and ``source`` compute their bias axis, and
 ``rf-sweep`` its drive axis, in one batched rate call.  ``--threads`` is
 accepted and recorded in the sidecar but has no effect; ``--seed`` seeds
@@ -42,7 +45,6 @@ that uses the library keeps its collector as it was.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import gc
 import json
@@ -65,57 +67,6 @@ from .units import E_CHARGE, K_B, ghz_to_omega, uev_to_joule
 
 _TWO_PI = 2.0 * math.pi
 
-_DEVICE_DEFAULTS = {"junctions": 2, "charging_energy_uev": 0.0}
-
-_DEFAULTS: dict[str, dict] = {
-    "sweep-bias": {"epsrel": 1e-11, "device": _DEVICE_DEFAULTS},
-    "rf-sweep": {
-        "epsrel": 1e-11,
-        "bias": 0.0,
-        "device": _DEVICE_DEFAULTS,
-        "drive": {"distribution": "coherent", "l_max": 5, "fock_cut": 40},
-    },
-    "lamb-shift": {
-        "device": _DEVICE_DEFAULTS,
-        "spectrum": {"points": 1201, "lo_factor": 0.02, "hi_factor": 50.0,
-                     "epsrel": 1e-9},
-    },
-    "reset-sim": {
-        "epsrel": 1e-11,
-        "device": _DEVICE_DEFAULTS,
-        "pulse": {"amplitude": None, "rise_fall_ns": 0.0, "t_start_ns": 0.0},
-        "ladder": {"n_cut": 30, "init_kind": "coherent", "init_mean_n": 1.0},
-        "extra": {"gamma_per_s": 0.0, "occupation": 0.0},
-    },
-    "ep-map": {"two_mode": {"kappa_ext_mhz": None}},
-    "source": {
-        "epsrel": 1e-11,
-        "device": _DEVICE_DEFAULTS,
-        "line": {"n_tr": 0.0},
-    },
-    "calibrate": {
-        "calibration": {"gamma_x_per_s": 0.0, "n_tr": 0.0, "n_x": 0.0},
-    },
-    "thermal": {
-        "thermal": {"p_const_w": 0.0, "ep_sigma_w_m3_k5": 0.0,
-                    "volume_m3": 0.0},
-    },
-    "diff-lamb": {},
-}
-
-_SYNTH_DEFAULTS = {"noise_sigma_w": 0.0, "points": 50,
-                   "bias_min": 5.0, "bias_max": 20.0}
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
-
 
 @functools.cache
 def _schema() -> dict:
@@ -124,9 +75,10 @@ def _schema() -> dict:
 
 
 # the draft 2020-12 keywords _violations implements; additionalProperties
-# only as false.  Annotations ($schema, title, $defs) need no code.
+# only as false.  Annotations ($schema, title, $defs, default) need no
+# validation code; _canonical fills absent keys from default.
 _KEYWORDS = frozenset({
-    "$schema", "title", "$defs", "$ref", "type", "enum", "const",
+    "$schema", "title", "$defs", "default", "$ref", "type", "enum", "const",
     "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
     "minLength", "required", "properties", "additionalProperties",
     "allOf", "anyOf", "if", "then"})
@@ -255,12 +207,21 @@ def _validate(cfg: dict) -> None:
 
 
 def _canonical(value, schema: dict):
-    """``value`` with an integral float under ``integer`` as an int and
-    an enum member as the schema spells it (``2.0`` becomes ``2``)."""
+    """The valid ``value`` with each absent property that has a schema
+    ``default`` filled in, an integral float under ``integer`` as an int
+    and an enum member as the schema spells it (``2.0`` becomes ``2``).
+    Every dict is rebuilt, so no default ``{}`` is shared between calls."""
     if "$ref" in schema:
         schema = _resolve(schema["$ref"])
     if isinstance(value, dict):
-        props = schema.get("properties", {})
+        props = dict(schema.get("properties", {}))
+        # per-command defaults: the then of each allOf branch whose if holds
+        for branch in schema.get("allOf", ()):
+            if not any(_violations(value, branch["if"])):
+                for k, sub in branch["then"].get("properties", {}).items():
+                    props[k] = {**props[k], **sub}
+        value = {**{k: sub["default"] for k, sub in props.items()
+                    if "default" in sub}, **value}
         return {k: _canonical(v, props.get(k, {})) for k, v in value.items()}
     if isinstance(value, float) and "integer" in _types(schema):
         return int(value)
@@ -287,7 +248,8 @@ def _config_int(text: str) -> int | float:
 
 
 def load_and_validate(path: str) -> dict:
-    """Parse, validate, and default-fill a run configuration."""
+    """Parse and validate a run configuration, and fill in the
+    ``default`` of every absent key that ``schema.json`` gives one."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh, parse_float=_finite_float,
@@ -303,13 +265,7 @@ def load_and_validate(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _validate(cfg)
-    # the defaults are schema-valid constants, so merging them in keeps
-    # the config valid
-    resolved = _merge(_DEFAULTS.get(cfg["command"], {}), cfg)
-    if "synthesize" in resolved:
-        resolved["synthesize"] = _merge(_SYNTH_DEFAULTS,
-                                        resolved["synthesize"])
-    return _canonical(resolved, _schema())
+    return _canonical(cfg, _schema())
 
 
 # ---------------------------------------------------------------- builders
@@ -320,16 +276,18 @@ def _build_junction(blk: dict) -> JunctionParams:
                           temp_n=blk["temp_n_k"])
 
 
-def _build_device(blk: dict) -> DeviceConfig:
-    return DeviceConfig(junctions=blk["junctions"],
-                        charging_energy=uev_to_joule(
-                            blk["charging_energy_uev"]))
-
-
 def _build_mode(blk: dict) -> ModeParams:
     return ModeParams(omega=ghz_to_omega(blk["freq_ghz"]),
                       impedance=blk["impedance_ohm"], alpha=blk["alpha"],
                       rho=blk.get("rho"))
+
+
+def _circuit(cfg: dict) -> tuple[JunctionParams, DeviceConfig, ModeParams]:
+    """The junction, device and mode every rate command reads."""
+    dev = DeviceConfig(junctions=cfg["device"]["junctions"],
+                       charging_energy=uev_to_joule(
+                           cfg["device"]["charging_energy_uev"]))
+    return _build_junction(cfg["junction"]), dev, _build_mode(cfg["mode"])
 
 
 def _build_drive(blk: dict, mean_n) -> DriveState:
@@ -370,9 +328,7 @@ def _rate_table(axis: str, xs, r: spectrum.RatePair,
 # ---------------------------------------------------------------- commands
 
 def _cmd_sweep_bias(cfg: dict) -> tuple:
-    j = _build_junction(cfg["junction"])
-    dev = _build_device(cfg["device"])
-    mode = _build_mode(cfg["mode"])
+    j, dev, mode = _circuit(cfg)
     scale = _bias_scale(j)
     xs = _grid_axis(cfg["grid"])
     r = spectrum.transition_rates(xs * scale, mode, j, dev,
@@ -382,9 +338,7 @@ def _cmd_sweep_bias(cfg: dict) -> tuple:
 
 
 def _cmd_rf_sweep(cfg: dict) -> tuple:
-    j = _build_junction(cfg["junction"])
-    dev = _build_device(cfg["device"])
-    mode = _build_mode(cfg["mode"])
+    j, dev, mode = _circuit(cfg)
     smode = _build_mode(cfg["support_mode"])
     v = cfg["bias"] * _bias_scale(j)
     ns = _grid_axis(cfg["grid"])
@@ -396,9 +350,7 @@ def _cmd_rf_sweep(cfg: dict) -> tuple:
 
 
 def _cmd_lamb_shift(cfg: dict) -> tuple:
-    j = _build_junction(cfg["junction"])
-    dev = _build_device(cfg["device"])
-    mode = _build_mode(cfg["mode"])
+    j, dev, mode = _circuit(cfg)
     scale = _bias_scale(j)
     sp = cfg["spectrum"]
     wgrid = lamb.default_grid(mode.omega, points=sp["points"],
@@ -424,9 +376,7 @@ def _cmd_lamb_shift(cfg: dict) -> tuple:
 
 
 def _cmd_reset_sim(cfg: dict) -> tuple:
-    j = _build_junction(cfg["junction"])
-    dev = _build_device(cfg["device"])
-    mode = _build_mode(cfg["mode"])
+    j, dev, mode = _circuit(cfg)
     pulse = cfg["pulse"]
     ladder = cfg["ladder"]
     extra = cfg["extra"]
@@ -512,9 +462,7 @@ def _cmd_ep_map(cfg: dict) -> tuple:
 
 
 def _cmd_source(cfg: dict) -> tuple:
-    j = _build_junction(cfg["junction"])
-    dev = _build_device(cfg["device"])
-    mode = _build_mode(cfg["mode"])
+    j, dev, mode = _circuit(cfg)
     blk = cfg["source"]
     line = cfg["line"]
     src = source_calib.PhotonSourceParams(

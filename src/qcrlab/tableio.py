@@ -10,6 +10,7 @@ Format contract:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -21,9 +22,10 @@ from ._record import Record
 from .errors import ConfigError
 
 
-# Rows formatted and written at a time: memory stays bounded by a chunk,
-# not by the table.
+# Rows formatted and written, and lines parsed, at a time: memory stays
+# bounded by a chunk, not by the table.
 WRITE_CHUNK_ROWS = 1024
+READ_CHUNK_LINES = 1024
 
 
 def format_float(x: float) -> str:
@@ -61,36 +63,41 @@ def write_table(path: str, columns: Sequence[str],
 
 def read_table(path: str) -> Table:
     comments: list[str] = []
-    rows: list[list[float]] = []
+    chunks: list[np.ndarray] = []
+    widths: set[int] = set()
+    malformed = None
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
+            while lines := list(itertools.islice(fh, READ_CHUNK_LINES)):
+                rows = []
+                for line in filter(None, map(str.strip, lines)):
+                    if line.startswith("#"):
+                        comments.append(line[1:].strip())
+                        continue
+                    try:
+                        rows.append([float(tok) for tok in line.split(",")])
+                    except ValueError as exc:
+                        # raised once the whole file has decoded
+                        malformed = malformed or (line, exc)
+                widths.update(map(len, rows))
+                if rows and len(widths) == 1:
+                    chunks.append(np.array(rows, dtype=float))
     except OSError as exc:
         raise ConfigError(
             f"cannot read table {path!r}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed data line {line!r}") \
-                from exc
+    if malformed:
+        line, exc = malformed
+        raise ConfigError(f"{path}: malformed data line {line!r}") from exc
     if not comments:
         raise ConfigError(f"{path}: missing '#' column header")
     columns = [c.strip() for c in comments[-1].split(",")]
-    if not rows:
+    if not widths:
         raise ConfigError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
     if len(widths) != 1 or widths.pop() != len(columns):
         raise ConfigError(f"{path}: ragged rows or header/data mismatch")
-    return Table(columns=columns, data=np.array(rows, dtype=float),
+    return Table(columns=columns, data=np.concatenate(chunks),
                  comments=comments[:-1])
 
 

@@ -86,6 +86,78 @@ INTEGER_FIELDS = [
 ]
 
 
+# per command, a config of its required keys only, on small grids, and the
+# config load_and_validate resolves it to: every added key is a schema
+# default
+J = {"delta_uev": 206.8, "dynes": 1e-4, "r_t_ohm": 15000.0, "temp_n_k": 0.1}
+M = {"freq_ghz": 10.0, "impedance_ohm": 35.0, "alpha": 0.5}
+DEVICE = {"junctions": 2, "charging_energy_uev": 0.0}
+GRID = {"start": 0.1, "stop": 1.4, "points": 3}
+TWO_MODE = {"f1_ghz": 5.223, "kappa1_mhz": 0.8, "kappa2_mhz": 32.0,
+            "g_mhz": 8.0, "f2_max_ghz": 7.4}
+SOURCE = {"c_coupling_ff": 10.0, "z0_ohm": 50.0, "l_res_mm": 12.0,
+          "c_per_len_pf_m": 160.0}
+CALIBRATION = {"gamma_tr_per_s": 2e7, "gamma_t_bar_per_s": 1e7,
+               "f_r_ghz": 4.67, "delta_uev": 215.0}
+REQUIRED_ONLY = {
+    "sweep-bias": (
+        {"junction": J, "mode": M, "grid": GRID},
+        {"junction": J, "mode": M, "grid": GRID, "epsrel": 1e-11,
+         "device": DEVICE}),
+    "rf-sweep": (
+        {"junction": J, "mode": M, "support_mode": M,
+         "drive": {"mean_n": 0.0}, "grid": GRID},
+        {"junction": J, "mode": M, "support_mode": M,
+         "drive": {"mean_n": 0.0, "distribution": "coherent", "l_max": 5,
+                   "fock_cut": 40},
+         "grid": GRID, "epsrel": 1e-11, "bias": 0.0, "device": DEVICE}),
+    "lamb-shift": (
+        {"junction": J, "mode": M, "grid": {**GRID, "points": 1}},
+        {"junction": J, "mode": M, "grid": {**GRID, "points": 1},
+         "device": DEVICE,
+         "spectrum": {"points": 1201, "lo_factor": 0.02, "hi_factor": 50.0,
+                      "epsrel": 1e-9}}),
+    "reset-sim": (
+        {"junction": J, "mode": M, "pulse": {"width_ns": 10.0},
+         "grid": {"start": 0.0, "stop": 20.0, "points": 5}},
+        {"junction": J, "mode": M,
+         "pulse": {"width_ns": 10.0, "amplitude": None, "rise_fall_ns": 0.0,
+                   "t_start_ns": 0.0},
+         "grid": {"start": 0.0, "stop": 20.0, "points": 5},
+         "epsrel": 1e-11, "device": DEVICE,
+         "ladder": {"n_cut": 30, "init_kind": "coherent", "init_mean_n": 1.0},
+         "extra": {"gamma_per_s": 0.0, "occupation": 0.0}}),
+    "ep-map": (
+        {"two_mode": TWO_MODE, "flux": GRID,
+         "probe": {"f_start_ghz": 5.18, "f_stop_ghz": 5.27, "points": 3}},
+        {"two_mode": {**TWO_MODE, "kappa_ext_mhz": None}, "flux": GRID,
+         "probe": {"f_start_ghz": 5.18, "f_stop_ghz": 5.27, "points": 3}}),
+    "source": (
+        {"junction": J, "mode": M, "source": SOURCE,
+         "line": {"gamma_tr_per_s": 1.5e7}, "grid": GRID},
+        {"junction": J, "mode": M, "source": SOURCE,
+         "line": {"gamma_tr_per_s": 1.5e7, "n_tr": 0.0}, "grid": GRID,
+         "epsrel": 1e-11, "device": DEVICE}),
+    "calibrate": (
+        {"calibration": CALIBRATION, "bandwidth_hz": 1e6,
+         "synthesize": {"gain": 7.94e7, "t_noise_k": 4.2}},
+        {"calibration": {**CALIBRATION, "gamma_x_per_s": 0.0, "n_tr": 0.0,
+                         "n_x": 0.0},
+         "bandwidth_hz": 1e6,
+         "synthesize": {"gain": 7.94e7, "t_noise_k": 4.2,
+                        "noise_sigma_w": 0.0, "points": 50,
+                        "bias_min": 5.0, "bias_max": 20.0}}),
+    "thermal": (
+        {"thermal": {"t0_k": 0.1}, "grid": {**GRID, "start": 0.05}},
+        {"thermal": {"t0_k": 0.1, "p_const_w": 0.0, "ep_sigma_w_m3_k5": 0.0,
+                     "volume_m3": 0.0},
+         "grid": {**GRID, "start": 0.05}}),
+    "diff-lamb": (
+        {"csv_a": "a.csv", "csv_b": "b.csv"},
+        {"csv_a": "a.csv", "csv_b": "b.csv"}),
+}
+
+
 class TestConfigHandling:
     def test_examples_all_validate(self):
         names = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
@@ -94,12 +166,31 @@ class TestConfigHandling:
             cfg = load_and_validate(str(CONFIG_DIR / name))
             assert "command" in cfg
 
-    def test_defaults_are_filled(self, tmp_path):
-        cfg = load_example("sweep_bias.json")
-        cfg.pop("epsrel", None)
-        resolved = load_and_validate(dump_cfg(tmp_path, cfg))
-        assert resolved["epsrel"] == 1e-11
-        assert resolved["device"]["junctions"] == 2
+    def test_defaults_are_filled(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name in ("a.csv", "b.csv"):
+            write_table(name, ["bias (1)", "shift (Hz)"], [[0.5, 1.0]])
+        for command in cli._schema()["properties"]["command"]["enum"]:
+            given, resolved = REQUIRED_ONLY[command]
+            path = dump_cfg(tmp_path, {"command": command, **given})
+            # as JSON text, where 0 and 0.0 differ
+            assert json.dumps(load_and_validate(path), sort_keys=True) \
+                == json.dumps({"command": command, **resolved},
+                              sort_keys=True), command
+            assert main(["--config", path, "--out", "x.out"]) == 0, command
+
+    def test_resolved_configs_share_no_state(self, tmp_path):
+        # _schema() is cached: a default must reach each config as a copy
+        given, resolved = REQUIRED_ONLY["reset-sim"]
+        path = dump_cfg(tmp_path, {"command": "reset-sim", **given})
+        first = load_and_validate(path)
+        for block in first.values():
+            if isinstance(block, dict):
+                block.clear()
+        first.clear()
+        assert load_and_validate(path) == {"command": "reset-sim", **resolved}
+        schema = Path(cli.__file__).with_name("schema.json").read_text()
+        assert cli._schema() == json.loads(schema)
 
     def test_schema_violation_exits_2_without_output(self, tmp_path, capsys):
         cfg = load_example("sweep_bias.json")

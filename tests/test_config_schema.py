@@ -26,12 +26,16 @@ ORACLE = jsonschema.Draft202012Validator(SCHEMA)
 
 # keys whose value is a map of names to subschemas, not a schema
 NAME_MAPS = {"properties", "$defs"}
+# keys whose value is an instance, not a schema
+INSTANCES = {"default", "const", "enum"}
 
 
 def schemas(node):
     """Every subschema of ``node``, ``node`` included."""
     yield node
     for key, val in node.items():
+        if key in INSTANCES:
+            continue
         if key in NAME_MAPS:
             for sub in val.values():
                 yield from schemas(sub)
@@ -199,27 +203,67 @@ def test_schema_uses_only_implemented_keywords():
             assert not isinstance(member, (list, dict)), member
 
 
-def _without_defaults(cfg, defaults):
-    """``cfg`` less every key that ``defaults`` would fill in."""
-    return {k: (_without_defaults(v, defaults[k])
-                if isinstance(v, dict) and isinstance(defaults.get(k), dict)
-                else v)
+def _ref(schema):
+    if "$ref" in schema:
+        return SCHEMA["$defs"][schema["$ref"].removeprefix("#/$defs/")]
+    return schema
+
+
+def _properties(cfg, schema):
+    """The property subschemas for ``cfg``: ``schema``'s own, with the
+    ``then`` properties of its command's ``allOf`` branch merged in."""
+    props = dict(schema.get("properties", {}))
+    for branch in schema.get("allOf", []):
+        if branch["if"]["properties"]["command"]["const"] == cfg["command"]:
+            for name, sub in branch["then"].get("properties", {}).items():
+                props[name] = {**props[name], **sub}
+    return props
+
+
+def _without_defaults(cfg, schema=SCHEMA):
+    """``cfg`` less every scalar that a schema ``default`` would fill in."""
+    props = _properties(cfg, _ref(schema))
+    return {k: _without_defaults(v, props[k]) if isinstance(v, dict) else v
             for k, v in cfg.items()
-            if isinstance(defaults.get(k), dict) or k not in defaults}
+            if isinstance(v, dict) or "default" not in props[k]}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 @pytest.mark.parametrize("strip", [False, True])
 def test_resolved_configs_satisfy_the_schema(tmp_path, name, strip):
-    # load_and_validate checks the config it reads and merges constant
-    # defaults into it; the merged config must be valid as well, here
+    # load_and_validate checks the config it reads and fills in the
+    # schema's defaults; the resolved config must be valid as well, here
     # also with every default filled in, synthesize's included
     cfg = CONFIGS[name]
     if strip:
-        defaults = {**cli._DEFAULTS[cfg["command"]],
-                    "synthesize": cli._SYNTH_DEFAULTS}
-        cfg = _without_defaults(cfg, defaults)
+        cfg = _without_defaults(cfg)
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     errors = list(ORACLE.iter_errors(cli.load_and_validate(str(path))))
     assert not errors, errors
+
+
+def annotated_defaults():
+    """``(where, default, the subschema it annotates)`` for each default;
+    a per-command default annotates the root property it extends."""
+    for name, block in SCHEMA["$defs"].items():
+        for key, sub in block.get("properties", {}).items():
+            if "default" in sub:
+                yield f"$defs.{name}.{key}", sub["default"], sub
+    for branch in SCHEMA["allOf"]:
+        command = branch["if"]["properties"]["command"]["const"]
+        for key, sub in branch["then"].get("properties", {}).items():
+            yield (f"{command}.{key}", sub["default"],
+                   {**SCHEMA["properties"][key], **sub})
+
+
+def test_every_default_is_valid_where_it_sits():
+    # neither validator reads `default`: a default the schema forbids
+    # would pass unnoticed into every config that leaves the key out
+    found = list(annotated_defaults())
+    assert len(found) == sum("default" in sub for sub in schemas(SCHEMA))
+    for where, default, sub in found:
+        oracle = jsonschema.Draft202012Validator(
+            {**sub, "$defs": SCHEMA["$defs"]})
+        assert oracle.is_valid(default), where
+        assert not any(cli._violations(default, sub)), where

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qcrlab import ConfigError, Table, read_table, write_sidecar, write_table
-from qcrlab.tableio import (WRITE_CHUNK_ROWS, ensure_parent_dir,
-                            format_float)
+from qcrlab.tableio import (READ_CHUNK_LINES, WRITE_CHUNK_ROWS,
+                            ensure_parent_dir, format_float)
 
 # rows of every kind format_float must render: signed zero, subnormals,
 # infinities, NaN, integers beyond 2**53 and repeating fractions
@@ -66,6 +66,55 @@ class TestChunkedWriter:
         one_string_write_table(str(want), cols, data, comments=comments)
         assert got.read_bytes() == want.read_bytes()
         assert len(got.read_text().splitlines()) == len(comments) + 1 + rows
+
+
+class TestChunkedReader:
+    CHUNK = READ_CHUNK_LINES
+    HEADER = "# a (1), b (1), c (1)\n"
+
+    def lines(self, data):
+        """Comments and blank lines up to the first chunk's end, then the
+        header and the rows, with a blank line and the header again at
+        the second chunk's end."""
+        head = [f"# note {i}\n" if i % 2 else "\n"
+                for i in range(self.CHUNK - 2)]
+        rows = ["%.17g,%.17g,%.17g\n" % tuple(r) for r in data.tolist()]
+        lines = [*head, self.HEADER, *rows]
+        lines[2 * self.CHUNK - 1:2 * self.CHUNK - 1] = ["\n", self.HEADER]
+        return lines
+
+    @pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_round_trip_across_chunks(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        data = rng.standard_normal((rows, 3)) \
+            * 10.0 ** rng.integers(-300, 300, (rows, 3))
+        data[:len(SPECIAL_ROWS)] = SPECIAL_ROWS
+        path = tmp_path / "t.csv"
+        path.write_text("".join(self.lines(data)))
+        table = read_table(str(path))
+        assert table.columns == ["a (1)", "b (1)", "c (1)"]
+        assert table.comments == [f"note {i}" for i in
+                                  range(1, self.CHUNK - 2, 2)] \
+            + ["a (1), b (1), c (1)"]
+        assert table.data.shape == data.shape
+        assert table.data.tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("bad_row, tail, message", [
+        ("1,2,3,4\n", "", "ragged rows or header/data mismatch"),
+        ("1,spam,3\n", "", "malformed data line '1,spam,3'"),
+        # every line decodes before a malformed one is named
+        ("1,spam,3\n", "\udcff", "not UTF-8 text"),
+    ])
+    def test_defect_in_a_later_chunk(self, tmp_path, bad_row, tail,
+                                     message):
+        # the defect in the second chunk, the tail tens of kB on in the third
+        lines = self.lines(np.full((2 * self.CHUNK, 3), 1.0 / 3.0))
+        lines[self.CHUNK + 5] = bad_row
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("".join(lines) + tail).encode(
+            "utf-8", "surrogateescape"))
+        with pytest.raises(ConfigError, match=message):
+            read_table(str(path))
 
 
 class TestRoundTrip:
