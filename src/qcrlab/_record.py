@@ -5,23 +5,25 @@ frozen class ``__hash__``, ``__setattr__`` and ``__delattr__``, as source
 text and compiles it with ``exec`` for every class it decorates: about
 1 ms a class at import.  A class declared
 
-    @dataclass(init=False, repr=False, eq=False)
     class Point(Frozen):
         x: float
         y: float = 0.0
 
-is still a dataclass, so ``fields``, ``replace``, ``asdict``,
-``__match_args__``, pickling and ``copy.replace`` work as before, but it
-takes those methods from ``Frozen`` (or ``Record``, when mutable), which
-read its fields once and behave as the generated ones do.  Fields may
-have a plain default and no other option.
+is made a dataclass by inheritance, with ``init``, ``repr`` and ``eq``
+off, so ``fields``, ``replace``, ``asdict``, ``__match_args__``, pickling
+and ``copy.replace`` work as for a decorated class, but it takes those
+methods from ``Frozen`` (or ``Record``, when mutable), which read its
+fields once and behave as the generated ones do.  Fields may have a
+plain default and no other option.  ``require_finite`` is the check of
+NaN and +-inf that the input classes share.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import MISSING, FrozenInstanceError, fields
+import math
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
 
 @functools.cache
@@ -42,6 +44,14 @@ def _values(obj: Record) -> tuple:
     return tuple(getattr(obj, n) for n in _layout(type(obj))[0])
 
 
+def require_finite(record: Record, *names: str) -> None:
+    """Refuse NaN and +-inf in the named fields of ``record``."""
+    for name in names:
+        value = getattr(record, name)
+        if not abs(value) < math.inf:       # written so that NaN fails it
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class _InitSignature:
     """``inspect.signature`` of a record class: its generated ``__init__``'s."""
 
@@ -56,11 +66,17 @@ class _InitSignature:
 class Record:
     """Base of a mutable dataclass: ``__init__``, ``__repr__``, ``__eq__``.
 
-    Instances are unhashable, as those of a generated ``eq=True`` class.
+    A subclass becomes a dataclass by inheritance, with these three flags
+    off; instances are unhashable, as those of an ``eq=True`` dataclass.
     """
 
     __signature__ = _InitSignature()
     __hash__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__module__ != __name__:      # Frozen is a base, not a record
+            dataclass(cls, init=False, repr=False, eq=False)
 
     def __init__(self, *args, **kwargs):
         names, defaults = _layout(type(self))

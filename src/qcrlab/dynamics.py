@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._record import Frozen, Record
+from ._record import Frozen, Record, require_finite
 from .errors import ConvergenceError, FitError, TruncationError
 from .junction import DeviceConfig, JunctionParams
 from .pchip import Pchip
@@ -55,7 +55,6 @@ def solve_ivp(*args, **kwargs):
     return _solve_ivp(*args, **kwargs)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LadderState(Record):
     """Probability distribution over Fock states 0..n_cut."""
 
@@ -113,7 +112,6 @@ class LadderState(Record):
         return float(np.arange(self.n_cut + 1) @ self.probs)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PulseSchedule(Frozen):
     """Trapezoidal bias waveform: off level, ramp, flat top, ramp, off."""
 
@@ -128,6 +126,8 @@ class PulseSchedule(Frozen):
         if not (self.width >= 0 and self.rise_fall >= 0
                 and self.t_start >= 0):
             raise ValueError("schedule times must be nonnegative")
+        require_finite(self, "v_on", "width", "rise_fall", "t_start",
+                       "v_off")
 
     @property
     def t_end_pulse(self) -> float:
@@ -154,7 +154,6 @@ class PulseSchedule(Frozen):
         return float(v) if v.ndim == 0 else v
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LadderTrajectory(Record):
     """The ladder at ``times``: ``init`` mapped through ``eta`` and ``n``."""
 

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from ._record import Frozen
+from ._record import Frozen, require_finite
 
 
-@dataclass(init=False, repr=False, eq=False)
 class TwoModeParams(Frozen):
     """Two lossy modes with coherent coupling g (angular units, rad/s)."""
 
@@ -34,10 +33,11 @@ class TwoModeParams(Frozen):
     g: float
 
     def __post_init__(self):
-        if self.kappa1 < 0 or self.kappa2 < 0:
+        if not (self.kappa1 >= 0 and self.kappa2 >= 0):
             raise ValueError("loss rates must be nonnegative")
-        if self.g < 0:
+        if not self.g >= 0:
             raise ValueError("coupling must be nonnegative")
+        require_finite(self, "omega1", "kappa1", "omega2", "kappa2", "g")
 
     @property
     def delta(self) -> float:
@@ -96,7 +96,6 @@ def ep_locus(p_template: TwoModeParams) -> list[tuple[float, float]]:
     return [(0.0, k2) for k2 in (k1 - 4.0 * g, k1 + 4.0 * g) if k2 >= 0.0]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class FluxMap(Frozen):
     """SQUID-tuned mode-2 frequency versus flux (in units of Phi_0)."""
 

@@ -18,18 +18,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._record import Frozen
+from ._record import Frozen, require_finite
 from .errors import QuadratureError
 from .quadrature import adaptive_quad
 from .units import K_B, PLANCK
 
 
-@dataclass(init=False, repr=False, eq=False)
 class JunctionParams(Frozen):
     """Electrical parameters of one NIS tunnel junction.
 
@@ -59,11 +57,11 @@ class JunctionParams(Frozen):
             raise ValueError("smearing parameter must lie in [0, 1)")
         if not self.r_t > 0:
             raise ValueError("tunnelling resistance must be positive")
-        if self.temp_n < 0:
+        if not self.temp_n >= 0:
             raise ValueError("electron temperature must be nonnegative")
+        require_finite(self, "delta", "dynes", "r_t", "temp_n")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DeviceConfig(Frozen):
     """Junction-count and island parameters of the refrigerator element.
 
@@ -79,8 +77,9 @@ class DeviceConfig(Frozen):
     def __post_init__(self):
         if self.junctions not in (1, 2):
             raise ValueError("only 1- and 2-junction devices are supported")
-        if self.charging_energy < 0:
+        if not self.charging_energy >= 0:
             raise ValueError("charging energy must be nonnegative")
+        require_finite(self, "charging_energy")
 
 
 def dos(eps, p: JunctionParams):

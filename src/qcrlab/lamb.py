@@ -18,7 +18,6 @@ remainder is one quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ from .spectrum import SpectralDensity
 SHIFT_EPSREL = 1e-11
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LambResult(Frozen):
     """Frequency pull ``shift`` (rad/s) and its quadrature error estimate.
 

@@ -10,12 +10,12 @@ and the one-port reflection fit supplying the damping rates.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
 
-from ._record import Frozen
+from ._record import Frozen, require_finite
 from .errors import (ConfigError, FitError, GridError,
                      UndefinedSteadyStateError)
 from .junction import DeviceConfig, JunctionParams
@@ -24,7 +24,6 @@ from .tableio import read_table
 from .units import E_CHARGE, HBAR, K_B
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PhotonSourceParams(Frozen):
     """Resonator-to-line coupling geometry for the emitted-power formula."""
 
@@ -35,12 +34,13 @@ class PhotonSourceParams(Frozen):
     c_per_len: float    # capacitance per unit length (F/m)
 
     def __post_init__(self):
-        for name in ("c_coupling", "omega0", "z0", "l_res", "c_per_len"):
-            if getattr(self, name) <= 0:
+        names = ("c_coupling", "omega0", "z0", "l_res", "c_per_len")
+        for name in names:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        require_finite(self, *names)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CalibrationParams(Frozen):
     """Rates and occupations entering the high-voltage power expansion."""
 
@@ -53,16 +53,17 @@ class CalibrationParams(Frozen):
     delta: float        # gap energy (J)
 
     def __post_init__(self):
-        for name in ("gamma_tr", "gamma_t_bar", "gamma_x", "n_tr", "n_x"):
-            if getattr(self, name) < 0:
+        names = ("gamma_tr", "gamma_t_bar", "gamma_x", "n_tr", "n_x")
+        for name in names:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.omega_r <= 0:
+        if not self.omega_r > 0:
             raise ValueError("omega_r must be positive")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("delta must be nonnegative")
+        require_finite(self, *names, "omega_r", "delta")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CalibrationRecord(Frozen):
     """Result of the output-power fit and derived chain figures."""
 
@@ -276,7 +277,6 @@ def junction_occupation(rates: RatePair):
     return rates.up / (rates.down - rates.up)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SourcePoint(Frozen):
     """Composed photon-source observables at one bias, or over a bias array."""
 

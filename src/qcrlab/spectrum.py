@@ -23,19 +23,17 @@ excitation).  Since F is monotone, ``down >= up`` always holds here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 import numpy as np
 
-from ._record import Frozen, Record
+from ._record import Frozen, Record, require_finite
 from .errors import (GridError, NonpositiveTemperatureError, QcrlabError,
                      TruncationError, UndefinedSteadyStateError)
 from .junction import DeviceConfig, JunctionParams, forward_rate
 from .units import E_CHARGE, HBAR, K_B, R_K
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ModeParams(Frozen):
     """One harmonic mode coupled to the junction environment.
 
@@ -57,8 +55,10 @@ class ModeParams(Frozen):
             raise ValueError("mode impedance must be positive")
         if not 0 <= self.alpha <= 1:
             raise ValueError("coupling fraction must lie in [0, 1]")
-        if self.rho is not None and self.rho < 0:
+        if self.rho is not None and not self.rho >= 0:
             raise ValueError("displacement parameter must be nonnegative")
+        require_finite(self, "omega", "impedance", "alpha",
+                       *(() if self.rho is None else ("rho",)))
 
     @property
     def rho_eff(self) -> float:
@@ -67,7 +67,6 @@ class ModeParams(Frozen):
         return self.alpha * math.sqrt(math.pi * self.impedance / R_K)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DriveState(Frozen):
     """Photon statistics of the supporting mode.
 
@@ -101,7 +100,6 @@ class RatePair(NamedTuple):
         return self.down - self.up
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SpectralDensity(Record):
     """Coupling rate tabulated on a strictly increasing frequency grid."""
 

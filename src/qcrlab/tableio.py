@@ -2,8 +2,9 @@
 
 Format contract:
   - lines starting with '#' are comments; the last comment line before
-    the data names the columns as ``name (unit)`` entries,
-  - one header-free data block, comma-separated,
+    the first data row names the columns as ``name (unit)`` entries,
+  - one header-free data block, comma-separated; '#' lines after its
+    first row are comments, kept in file order,
   - floats rendered with %.17g so re-ingesting and re-emitting a table
     is byte-identical.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Table(Record):
     columns: list[str]          # "name (unit)" labels
     data: np.ndarray            # shape (n_rows, n_cols)
@@ -63,6 +62,7 @@ def write_table(path: str, columns: Sequence[str],
 
 def read_table(path: str) -> Table:
     comments: list[str] = []
+    header = None       # how many comments precede the first data row
     chunks: list[np.ndarray] = []
     widths: set[int] = set()
     malformed = None
@@ -74,6 +74,8 @@ def read_table(path: str) -> Table:
                     if line.startswith("#"):
                         comments.append(line[1:].strip())
                         continue
+                    if header is None:
+                        header = len(comments)
                     try:
                         rows.append([float(tok) for tok in line.split(",")])
                     except ValueError as exc:
@@ -90,15 +92,17 @@ def read_table(path: str) -> Table:
     if malformed:
         line, exc = malformed
         raise ConfigError(f"{path}: malformed data line {line!r}") from exc
-    if not comments:
+    if header is None:
+        header = len(comments)
+    if not header:
         raise ConfigError(f"{path}: missing '#' column header")
-    columns = [c.strip() for c in comments[-1].split(",")]
+    columns = [c.strip() for c in comments.pop(header - 1).split(",")]
     if not widths:
         raise ConfigError(f"{path}: no data rows")
     if len(widths) != 1 or widths.pop() != len(columns):
         raise ConfigError(f"{path}: ragged rows or header/data mismatch")
     return Table(columns=columns, data=np.concatenate(chunks),
-                 comments=comments[:-1])
+                 comments=comments)
 
 
 def write_json(path: str, payload: Mapping) -> None:

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from ._record import Frozen
+from ._record import Frozen, require_finite
 from .errors import ConvergenceError
 from .units import HBAR, K_B
 
 _PHOTON_COEFF = math.pi * K_B ** 2 / (12.0 * HBAR)  # W/K^2
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ThermalNetwork(Frozen):
     """Two-island network: photon channel + electron-phonon + constant load."""
 
@@ -30,11 +28,13 @@ class ThermalNetwork(Frozen):
     volume: float = 0.0          # island-A normal-metal volume (m^3)
 
     def __post_init__(self):
-        if self.t0 <= 0:
+        if not self.t0 > 0:
             raise ValueError("bath temperature must be positive")
-        if self.p_const < 0 or self.ep_sigma < 0 or self.volume < 0:
+        if not (self.p_const >= 0 and self.ep_sigma >= 0
+                and self.volume >= 0):
             raise ValueError("loads and material constants must be "
                              "nonnegative")
+        require_finite(self, "t0", "p_const", "ep_sigma", "volume")
 
 
 def g_quantum(t: float) -> float:

@@ -1,9 +1,10 @@
 """``Record`` and ``Frozen`` against the methods ``@dataclass`` generates.
 
-Each shared-base class has a stdlib twin with the same fields, default
-and ``__post_init__``; every test requires the two to behave alike.
-Needs neither numpy nor pytest: ``python tests/test_record.py`` runs
-every test here on any supported Python.
+Each shared-base class, a dataclass by subclassing alone, has a stdlib twin
+with the same fields, default and ``__post_init__``; every test requires
+the two to behave alike.  Needs neither numpy nor pytest:
+``python tests/test_record.py`` runs every test here on any supported
+Python.
 """
 
 import copy
@@ -39,7 +40,6 @@ class FrozenTwin:
             raise ValueError("x must be nonnegative")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class FrozenShared(_record.Frozen):
     x: float
     label: str = "a"
@@ -59,7 +59,6 @@ class MutableTwin:
             raise ValueError("x must be nonnegative")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class MutableShared(_record.Record):
     x: float
     label: str = "a"
@@ -192,7 +191,6 @@ def test_signature():
 def test_field_options_other_than_a_default_are_refused():
     from dataclasses import field
 
-    @dataclass(init=False, repr=False, eq=False)
     class Odd(_record.Record):
         x: list = field(default_factory=list)
 

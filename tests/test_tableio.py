@@ -116,6 +116,46 @@ class TestChunkedReader:
         with pytest.raises(ConfigError, match=message):
             read_table(str(path))
 
+    def test_comment_between_chunks_after_the_data(self, tmp_path):
+        data = np.arange(6.0 * self.CHUNK).reshape(-1, 3)
+        rows = ["%.17g,%.17g,%.17g\n" % tuple(r) for r in data.tolist()]
+        rows.insert(self.CHUNK - 1, "# between chunks\n")
+        path = tmp_path / "t.csv"
+        path.write_text("# first\n" + self.HEADER + "".join(rows))
+        table = read_table(str(path))
+        assert table.columns == ["a (1)", "b (1)", "c (1)"]
+        assert table.comments == ["first", "between chunks"]
+        assert table.data.tobytes() == data.tobytes()
+
+
+class TestCommentsAfterTheData:
+    """The last '#' line before the first data row names the columns; a
+    '#' line after a data row is a comment."""
+
+    def test_trailing_comment_with_commas(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# bias (1), shift (Hz)\n0.5,1\n0.6,2\n"
+                        "# trailing note, run 2\n")
+        table = read_table(str(path))
+        assert table.columns == ["bias (1)", "shift (Hz)"]
+        assert table.comments == ["trailing note, run 2"]
+        np.testing.assert_array_equal(table.data, [[0.5, 1.0], [0.6, 2.0]])
+
+    def test_one_field_trailing_comment(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# run 7\n# bias (1), shift (Hz)\n0.5,1\n# note\n"
+                        "0.6,2\n")
+        table = read_table(str(path))
+        assert table.columns == ["bias (1)", "shift (Hz)"]
+        assert table.comments == ["run 7", "note"]
+        np.testing.assert_array_equal(table.data, [[0.5, 1.0], [0.6, 2.0]])
+
+    def test_comments_only_after_the_data_leave_no_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("0.5,1\n0.6,2\n# bias (1), shift (Hz)\n")
+        with pytest.raises(ConfigError, match="missing '#' column header"):
+            read_table(str(path))
+
 
 class TestRoundTrip:
     def write_sample(self, path):
