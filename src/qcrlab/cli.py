@@ -6,8 +6,10 @@ writes the output table plus a ``<out>.meta.json`` sidecar holding the
 fully-resolved parameters.  A key the config leaves out takes its
 ``default`` annotation in the schema, the one place defaults are written:
 a block's sit on its ``$defs`` properties, and a command's own ones in
-its ``allOf`` ``then`` branch.  Each command is a function of its config
-alone: ``sweep-bias`` and ``source`` compute their bias axis, and
+its ``allOf`` ``then`` branch.  That branch lists every root key its
+command reads and allows no other, so a config holds, and its sidecar
+records, only settings the run uses.  Each command is a function of its
+config alone: ``sweep-bias`` and ``source`` compute their bias axis, and
 ``rf-sweep`` its drive axis, in one batched rate call.  ``--threads`` is
 accepted and recorded in the sidecar but has no effect; ``--seed`` seeds
 only ``calibrate``'s synthetic noise.  That noise is the stream of
@@ -24,11 +26,13 @@ ints, and integer literals beyond int64 are read as floats; ``NaN``,
 ``Infinity``, ``-Infinity`` and number literals beyond the double range,
 such as ``1e999``, are rejected.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error.  A failed
-run prints one ``config error:`` or ``numeric error:`` line to stderr and
-writes nothing: a config that is not UTF-8 JSON, an unreadable input
-table and an output path that cannot be written as a file are
-configuration errors, each found before anything is written.
+Exit codes: 0 success, 2 a defect of the config or of its input tables,
+3 a numeric failure.  A failed run prints one ``config error:`` or
+``numeric error:`` line to stderr and writes nothing: a config that is not
+UTF-8 JSON, a value a parameter object refuses (named with its block), an
+unreadable or mismatched input table and an output path that cannot be
+written as a file are configuration errors, each found before anything
+is written; a ``ValueError`` raised inside the numerics is a numeric one.
 
 Importing this module ends with one ``gc.freeze()``.  Everything alive
 then (the interpreter, the standard library, numpy and qcrlab's modules,
@@ -58,7 +62,7 @@ import numpy as np
 
 from . import __version__, dynamics, ep, lamb, source_calib, spectrum
 from . import thermal as thermal_mod
-from .errors import ConfigError, GridError, QcrlabError
+from .errors import ConfigError, QcrlabError
 from .junction import DeviceConfig, JunctionParams, interpolant_size
 from .spectrum import DriveState, ModeParams
 from .tableio import (ensure_parent_dir, read_table, write_json,
@@ -260,6 +264,8 @@ def load_and_validate(path: str) -> dict:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") \
             from exc
+    except ValueError as exc:       # open refuses a NUL in the path
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config {path} nests too deeply") from exc
     if not isinstance(cfg, dict):
@@ -270,29 +276,42 @@ def load_and_validate(path: str) -> dict:
 
 # ---------------------------------------------------------------- builders
 
+def _built(block: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a value object built from the config's
+    ``block``; a ``ValueError`` it raises becomes a ``ConfigError`` that
+    names the block."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{block}: {exc}") from exc
+
+
 def _build_junction(blk: dict) -> JunctionParams:
-    return JunctionParams(delta=uev_to_joule(blk["delta_uev"]),
-                          dynes=blk["dynes"], r_t=blk["r_t_ohm"],
-                          temp_n=blk["temp_n_k"])
+    return _built("junction", JunctionParams,
+                  delta=uev_to_joule(blk["delta_uev"]), dynes=blk["dynes"],
+                  r_t=blk["r_t_ohm"], temp_n=blk["temp_n_k"])
 
 
-def _build_mode(blk: dict) -> ModeParams:
-    return ModeParams(omega=ghz_to_omega(blk["freq_ghz"]),
-                      impedance=blk["impedance_ohm"], alpha=blk["alpha"],
-                      rho=blk.get("rho"))
+def _build_mode(cfg: dict, block: str) -> ModeParams:
+    blk = cfg[block]
+    return _built(block, ModeParams, omega=ghz_to_omega(blk["freq_ghz"]),
+                  impedance=blk["impedance_ohm"], alpha=blk["alpha"],
+                  rho=blk.get("rho"))
 
 
 def _circuit(cfg: dict) -> tuple[JunctionParams, DeviceConfig, ModeParams]:
     """The junction, device and mode every rate command reads."""
-    dev = DeviceConfig(junctions=cfg["device"]["junctions"],
-                       charging_energy=uev_to_joule(
-                           cfg["device"]["charging_energy_uev"]))
-    return _build_junction(cfg["junction"]), dev, _build_mode(cfg["mode"])
+    dev = _built("device", DeviceConfig,
+                 junctions=cfg["device"]["junctions"],
+                 charging_energy=uev_to_joule(
+                     cfg["device"]["charging_energy_uev"]))
+    return _build_junction(cfg["junction"]), dev, _build_mode(cfg, "mode")
 
 
 def _build_drive(blk: dict, mean_n) -> DriveState:
-    return DriveState(mean_n=mean_n, distribution=blk["distribution"],
-                      l_max=blk["l_max"], fock_cut=blk["fock_cut"])
+    return _built("drive", DriveState, mean_n=mean_n,
+                  distribution=blk["distribution"], l_max=blk["l_max"],
+                  fock_cut=blk["fock_cut"])
 
 
 def _grid_axis(blk: dict) -> np.ndarray:
@@ -339,7 +358,7 @@ def _cmd_sweep_bias(cfg: dict) -> tuple:
 
 def _cmd_rf_sweep(cfg: dict) -> tuple:
     j, dev, mode = _circuit(cfg)
-    smode = _build_mode(cfg["support_mode"])
+    smode = _build_mode(cfg, "support_mode")
     v = cfg["bias"] * _bias_scale(j)
     ns = _grid_axis(cfg["grid"])
     r = spectrum.rf_transition_rates(v, mode, smode,
@@ -383,9 +402,8 @@ def _cmd_reset_sim(cfg: dict) -> tuple:
     eps = cfg["epsrel"]
     scale = _bias_scale(j)
     ts_ns = _grid_axis(cfg["grid"])
-    if ts_ns[0] < 0:
-        raise ConfigError("time grid must start at or after zero")
-    if ts_ns[-1] <= 0:
+    t_end = float(ts_ns[-1]) * 1e-9
+    if not t_end > 0:
         raise ConfigError("time grid must end after zero: grid.stop must be "
                           "positive and grid.points above 1")
 
@@ -399,23 +417,22 @@ def _cmd_reset_sim(cfg: dict) -> tuple:
         v_on = pulse["amplitude"] * scale
     meta["v_on_v"] = v_on
 
-    sched = dynamics.PulseSchedule(v_on=v_on,
-                                   width=1e-9 * pulse["width_ns"],
-                                   rise_fall=1e-9 * pulse["rise_fall_ns"],
-                                   t_start=1e-9 * pulse["t_start_ns"])
+    sched = _built("pulse", dynamics.PulseSchedule, v_on=v_on,
+                   width=1e-9 * pulse["width_ns"],
+                   rise_fall=1e-9 * pulse["rise_fall_ns"],
+                   t_start=1e-9 * pulse["t_start_ns"])
     n_cut = ladder["n_cut"]
     kind = ladder["init_kind"]
     if kind == "ground":
-        init = dynamics.LadderState.ground(n_cut)
-    elif kind == "thermal":
-        init = dynamics.LadderState.thermal(ladder["init_mean_n"], n_cut)
-    else:
-        init = dynamics.LadderState.coherent(ladder["init_mean_n"], n_cut)
+        init = _built("ladder", dynamics.LadderState.ground, n_cut)
+    else:   # init_kind names the LadderState constructor
+        init = _built("ladder", getattr(dynamics.LadderState, kind),
+                      ladder["init_mean_n"], n_cut)
 
     traj = dynamics.evolve(init, sched, env,
                            extra_gamma=extra["gamma_per_s"],
                            extra_occupation=extra["occupation"],
-                           t_end=float(ts_ns[-1]) * 1e-9,
+                           t_end=t_end,
                            t_eval=1e-9 * ts_ns)
     rows = [[t * 1e9, float(m), float(p0)]
             for t, m, p0 in zip(traj.times, traj.mean_n, traj.ground_pop)]
@@ -433,15 +450,20 @@ def _cmd_reset_sim(cfg: dict) -> tuple:
 def _cmd_ep_map(cfg: dict) -> tuple:
     tm = cfg["two_mode"]
     kappa1 = _TWO_PI * 1e6 * tm["kappa1_mhz"]
-    p = ep.TwoModeParams(omega1=ghz_to_omega(tm["f1_ghz"]),
-                         kappa1=kappa1,
-                         omega2=ghz_to_omega(tm["f2_max_ghz"]),
-                         kappa2=_TWO_PI * 1e6 * tm["kappa2_mhz"],
-                         g=_TWO_PI * 1e6 * tm["g_mhz"])
+    p = _built("two_mode", ep.TwoModeParams,
+               omega1=ghz_to_omega(tm["f1_ghz"]), kappa1=kappa1,
+               omega2=ghz_to_omega(tm["f2_max_ghz"]),
+               kappa2=_TWO_PI * 1e6 * tm["kappa2_mhz"],
+               g=_TWO_PI * 1e6 * tm["g_mhz"])
     kext = kappa1 if tm["kappa_ext_mhz"] is None \
         else _TWO_PI * 1e6 * tm["kappa_ext_mhz"]
-    fm = ep.FluxMap(phi_grid=tuple(_grid_axis(cfg["flux"])),
-                    omega2_max=ghz_to_omega(tm["f2_max_ghz"]))
+    if kext > kappa1:
+        raise ConfigError(f"two_mode.kappa_ext_mhz {tm['kappa_ext_mhz']!r} "
+                          "exceeds two_mode.kappa1_mhz "
+                          f"{tm['kappa1_mhz']!r}")
+    fm = _built("flux", ep.FluxMap,
+                phi_grid=tuple(_grid_axis(cfg["flux"])),
+                omega2_max=ghz_to_omega(tm["f2_max_ghz"]))
     probe_blk = cfg["probe"]
     if probe_blk["f_stop_ghz"] <= probe_blk["f_start_ghz"]:
         raise ConfigError("probe.f_stop_ghz must exceed probe.f_start_ghz")
@@ -465,12 +487,12 @@ def _cmd_source(cfg: dict) -> tuple:
     j, dev, mode = _circuit(cfg)
     blk = cfg["source"]
     line = cfg["line"]
-    src = source_calib.PhotonSourceParams(
-        c_coupling=1e-15 * blk["c_coupling_ff"],
-        omega0=mode.omega,
-        z0=blk["z0_ohm"],
-        l_res=1e-3 * blk["l_res_mm"],
-        c_per_len=1e-12 * blk["c_per_len_pf_m"])
+    src = _built("source", source_calib.PhotonSourceParams,
+                 c_coupling=1e-15 * blk["c_coupling_ff"],
+                 omega0=mode.omega,
+                 z0=blk["z0_ohm"],
+                 l_res=1e-3 * blk["l_res_mm"],
+                 c_per_len=1e-12 * blk["c_per_len_pf_m"])
     xs = _grid_axis(cfg["grid"])
     scale = _bias_scale(j)
     sp = source_calib.source_sweep_point(
@@ -488,10 +510,10 @@ def _cmd_source(cfg: dict) -> tuple:
 
 def _cmd_thermal(cfg: dict) -> tuple:
     blk = cfg["thermal"]
-    net = thermal_mod.ThermalNetwork(t0=blk["t0_k"],
-                                     p_const=blk["p_const_w"],
-                                     ep_sigma=blk["ep_sigma_w_m3_k5"],
-                                     volume=blk["volume_m3"])
+    net = _built("thermal", thermal_mod.ThermalNetwork, t0=blk["t0_k"],
+                 p_const=blk["p_const_w"],
+                 ep_sigma=blk["ep_sigma_w_m3_k5"],
+                 volume=blk["volume_m3"])
 
     def point(tb: float) -> list[float]:
         ta = thermal_mod.steady_state(net, tb)
@@ -507,7 +529,8 @@ def _cmd_diff_lamb(cfg: dict) -> tuple:
     tb = read_table(cfg["csv_b"])
     if ta.data.shape != tb.data.shape \
             or not np.array_equal(ta.data[:, 0], tb.data[:, 0]):
-        raise GridError("input tables do not share a sweep grid")
+        raise ConfigError(f"tables {cfg['csv_a']!r} and {cfg['csv_b']!r} "
+                          "do not share a sweep grid")
     diff = ta.data[:, -1] - tb.data[:, -1]
     rows = np.column_stack([ta.data[:, 0], diff])
     cols = [ta.columns[0], "diff " + ta.columns[-1]]
@@ -516,13 +539,13 @@ def _cmd_diff_lamb(cfg: dict) -> tuple:
 
 def _run_calibrate(cfg: dict, out: str, seed: int) -> dict:
     cal = cfg["calibration"]
-    cp = source_calib.CalibrationParams(
-        gamma_tr=cal["gamma_tr_per_s"],
-        gamma_t_bar=cal["gamma_t_bar_per_s"],
-        gamma_x=cal["gamma_x_per_s"],
-        n_tr=cal["n_tr"], n_x=cal["n_x"],
-        omega_r=ghz_to_omega(cal["f_r_ghz"]),
-        delta=uev_to_joule(cal["delta_uev"]))
+    cp = _built("calibration", source_calib.CalibrationParams,
+                gamma_tr=cal["gamma_tr_per_s"],
+                gamma_t_bar=cal["gamma_t_bar_per_s"],
+                gamma_x=cal["gamma_x_per_s"],
+                n_tr=cal["n_tr"], n_x=cal["n_x"],
+                omega_r=ghz_to_omega(cal["f_r_ghz"]),
+                delta=uev_to_joule(cal["delta_uev"]))
     bw = cfg["bandwidth_hz"]
 
     payload: dict = {}
@@ -549,6 +572,11 @@ def _run_calibrate(cfg: dict, out: str, seed: int) -> dict:
                                "t_noise_k": syn["t_noise_k"]}
     else:
         samples = source_calib.load_power_samples(cfg["power_csv"])
+        for row, (v, _) in enumerate(samples, 1):
+            if v <= 0:
+                raise ConfigError(f"{cfg['power_csv']}: column 'bias_V' "
+                                  f"holds {v!r} in data row {row}, not a "
+                                  "positive bias")
         p_zero = cfg["p_out_zero_w"]
 
     record = source_calib.calibration_pipeline(samples, p_zero, cp, bw)
@@ -631,10 +659,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
         run(cfg, cfg["out"], args.threads, args.seed)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QcrlabError, ZeroDivisionError, FloatingPointError,
+    except (QcrlabError, ValueError, ZeroDivisionError, FloatingPointError,
             OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

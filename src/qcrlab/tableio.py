@@ -89,6 +89,8 @@ def read_table(path: str) -> Table:
             f"cannot read table {path!r}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    except ValueError as exc:       # open refuses a NUL in the path
+        raise ConfigError(f"cannot read table {path!r}: {exc}") from exc
     if malformed:
         line, exc = malformed
         raise ConfigError(f"{path}: malformed data line {line!r}") from exc
@@ -121,7 +123,10 @@ def write_sidecar(path: str, resolved: Mapping) -> str:
 
 def ensure_parent_dir(path: str) -> None:
     """ConfigError unless ``path`` and its sidecar can be written as files:
-    the directory must exist, and neither may be a directory itself."""
+    the directory must exist, neither may be a directory itself, and the
+    path may hold no NUL, which ``open`` refuses."""
+    if "\0" in path:
+        raise ConfigError(f"output path {path!r} holds a NUL character")
     parent = os.path.dirname(os.path.abspath(path))
     if parent and not os.path.isdir(parent):
         raise ConfigError(f"output directory does not exist: {parent}")

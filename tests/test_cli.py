@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import constants as sc
 
 import qcrlab
-from qcrlab import (RatePair, cli, dynamics, junction, lamb, read_table,
+from qcrlab import (RatePair, cli, dynamics, ep, junction, lamb, read_table,
                     source_calib, spectrum, write_table)
 from qcrlab.cli import _build_junction, load_and_validate, main
 from qcrlab.units import E_CHARGE, uev_to_joule
@@ -157,6 +157,42 @@ REQUIRED_ONLY = {
         {"csv_a": "a.csv", "csv_b": "b.csv"}),
 }
 
+# the root keys each command's config may set: those its run reads
+READ_KEYS = {
+    "sweep-bias": {"command", "out", "epsrel", "junction", "device", "mode",
+                   "grid"},
+    "rf-sweep": {"command", "out", "epsrel", "junction", "device", "mode",
+                 "grid", "bias", "support_mode", "drive"},
+    "source": {"command", "out", "epsrel", "junction", "device", "mode",
+               "grid", "source", "line"},
+    "reset-sim": {"command", "out", "epsrel", "junction", "device", "mode",
+                  "grid", "pulse", "ladder", "extra"},
+    "lamb-shift": {"command", "out", "junction", "device", "mode", "grid",
+                   "spectrum"},
+    "ep-map": {"command", "out", "two_mode", "flux", "probe"},
+    "calibrate": {"command", "out", "calibration", "bandwidth_hz",
+                  "reflection_csv", "synthesize", "power_csv",
+                  "p_out_zero_w"},
+    "thermal": {"command", "out", "thermal", "grid"},
+    "diff-lamb": {"command", "out", "csv_a", "csv_b"},
+}
+# a valid value of every root key but command
+ROOT_VALUES = {"out": "x.csv", "power_csv": "p.csv", "p_out_zero_w": 0.0,
+               "reflection_csv": "r.csv",
+               **{key: value for _, resolved in REQUIRED_ONLY.values()
+                  for key, value in resolved.items()}}
+
+
+def unread_keys():
+    """(command, root key) for every root key that the command's schema
+    branch does not list."""
+    schema = cli._schema()
+    for branch in schema["allOf"]:
+        command = branch["if"]["properties"]["command"]["const"]
+        for key in schema["properties"]:
+            if key not in branch["then"]["properties"]:
+                yield command, key
+
 
 class TestConfigHandling:
     def test_examples_all_validate(self):
@@ -249,6 +285,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize("name, block, key, value", [
         ("sweep_bias.json", "junction", "dynes", 1.0),
         ("calibrate.json", "calibration", "delta_uev", 0.0),
+        # bath temperatures, photon numbers and times of a grid axis
+        ("thermal.json", "grid", "start", 0.0),
+        ("rf_sweep.json", "grid", "start", -10.0),
+        ("reset_sim.json", "grid", "start", -1.0),
     ])
     def test_schema_bound_matches_builder(self, tmp_path, capsys, name,
                                           block, key, value):
@@ -522,6 +562,16 @@ class TestSweepRuns:
             in capsys.readouterr().err
         assert not out.exists()
         assert not Path(str(out) + ".meta.json").exists()
+
+    def test_reset_sim_grid_ending_at_a_subnormal_names_grid_stop(
+            self, tmp_path, capsys):
+        # 5e-324 ns is positive, but 0 s: the run would end at its start
+        cfg = small_config("reset_sim.json")
+        cfg["grid"] = {"start": 0.0, "stop": 5e-324, "points": 2}
+        out = str(tmp_path / "reset.csv")
+        TestOneFailureLine().fails(
+            capsys, ["--config", dump_cfg(tmp_path, cfg), "--out", out], out,
+            "config error: time grid must end after zero: grid.stop")
 
     @pytest.mark.parametrize("where", ["level", "ramp knot"])
     def test_reset_sim_nonfinite_rate_exits_3_naming_bias(
@@ -868,13 +918,14 @@ class TestDiffCommand:
         assert not out.exists()
         assert not Path(str(out) + ".meta.json").exists()
 
-    def test_mismatched_grids_exit_3(self, tmp_path, capsys):
+    def test_mismatched_grids_exit_2(self, tmp_path, capsys):
+        # a defect of the input tables, as an unreadable one is
         pa, pb = self.write_pair(tmp_path, shift=1.01)
         cfg = {"command": "diff-lamb", "csv_a": pa, "csv_b": pb}
-        code = main(["--config", dump_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "diff.csv")])
-        assert code == 3
-        assert "numeric error:" in capsys.readouterr().err
+        out = str(tmp_path / "diff.csv")
+        TestOneFailureLine().fails(
+            capsys, ["--config", dump_cfg(tmp_path, cfg), "--out", out], out,
+            f"tables {pa!r} and {pb!r} do not share a sweep grid")
 
 
 class TestOneFailureLine:
@@ -914,6 +965,17 @@ class TestOneFailureLine:
                    str(tmp_path / directory))
         assert list((tmp_path / directory).iterdir()) == []
 
+    @pytest.mark.parametrize("key", ["out", "csv_a", "config"])
+    def test_nul_in_a_path_exits_2(self, tmp_path, capsys, key):
+        # open() refuses such a path with a ValueError, not an OSError
+        pa, pb = TestDiffCommand().write_pair(tmp_path)
+        cfg = {"command": "diff-lamb", "csv_a": pa, "csv_b": pb,
+               "out": str(tmp_path / "diff.csv")}
+        bad = str(tmp_path / "a\0b")
+        path = bad if key == "config" else dump_cfg(tmp_path,
+                                                    {**cfg, key: bad})
+        self.fails(capsys, ["--config", path], cfg["out"], repr(bad))
+
     def test_undecodable_input_table_exits_2(self, tmp_path, capsys):
         pa, pb = TestDiffCommand().write_pair(tmp_path)
         with open(pb, "ab") as fh:
@@ -922,6 +984,104 @@ class TestOneFailureLine:
         out = str(tmp_path / "diff.csv")
         self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
                             "--out", out], out, pb)
+
+    def test_each_command_lists_exactly_the_keys_it_reads(self):
+        schema = cli._schema()
+        branches = {b["if"]["properties"]["command"]["const"]: b["then"]
+                    for b in schema["allOf"]}
+        assert {c: set(b["properties"]) for c, b in branches.items()} \
+            == READ_KEYS
+        assert set(branches["calibrate"]["then"]["properties"]) \
+            == READ_KEYS["calibrate"] - {"power_csv", "p_out_zero_w"}
+        assert len(list(unread_keys())) == 188
+
+    @pytest.mark.parametrize("command, key", list(unread_keys()))
+    def test_unread_key_exits_2(self, tmp_path, capsys, command, key):
+        # a config sets only what its run reads, so its sidecar records
+        # nothing the run ignored
+        cfg = {"command": command, **REQUIRED_ONLY[command][0],
+               key: ROOT_VALUES[key]}
+        out = str(tmp_path / "x.csv")
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out,
+                   "invalid config at config root: Additional properties "
+                   f"are not allowed ({key!r} was unexpected)")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize("key", ["power_csv", "p_out_zero_w"])
+    def test_measured_samples_beside_synthesize_exit_2(self, tmp_path,
+                                                       capsys, key):
+        # the run would synthesize and never open the table
+        cfg = small_config("calibrate.json")
+        cfg[key] = ROOT_VALUES[key]
+        out = str(tmp_path / "cal.json")
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out,
+                   "invalid config at config root: Additional properties "
+                   f"are not allowed ({key!r} was unexpected)")
+
+    @pytest.mark.parametrize("name, block, key, made", [
+        ("sweep_bias.json", "mode", "freq_ghz", "omega"),
+        ("rf_sweep.json", "support_mode", "freq_ghz", "omega"),
+        ("ep_map.json", "two_mode", "f1_ghz", "omega1"),
+        ("calibrate.json", "calibration", "f_r_ghz", "omega_r")])
+    def test_refused_value_object_names_its_block(self, tmp_path, capsys,
+                                                  name, block, key, made):
+        # 1e300 GHz is valid JSON and passes the schema; the angular
+        # frequency the builder makes of it is inf
+        cfg = small_config(name)
+        cfg[block][key] = 1e300
+        out = str(tmp_path / "x.csv")
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out,
+                   f"config error: {block}: {made} must be finite, got inf")
+
+    def test_value_error_in_numerics_exits_3(self, tmp_path, capsys,
+                                             monkeypatch):
+        def refuses(*args, **kwargs):
+            raise ValueError("refused inside the rate kernel")
+
+        monkeypatch.setattr(spectrum, "forward_rate", refuses)
+        out = str(tmp_path / "x.csv")
+        self.fails(capsys, ["--config", dump_cfg(
+            tmp_path, small_config("sweep_bias.json")), "--out", out], out,
+            "numeric error: refused inside the rate kernel", code=3)
+
+    def test_external_coupling_beyond_kappa1_exits_2(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the map was computed")
+
+        monkeypatch.setattr(ep, "transmission_map", never)
+        cfg = small_config("ep_map.json")
+        k1 = cfg["two_mode"]["kappa1_mhz"]
+        cfg["two_mode"]["kappa_ext_mhz"] = 2.0 * k1
+        out = str(tmp_path / "x.csv")
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out,
+                   f"two_mode.kappa_ext_mhz {2.0 * k1!r} exceeds "
+                   f"two_mode.kappa1_mhz {k1!r}")
+
+    @pytest.mark.parametrize("bias", [0.0, -5e-3])
+    def test_nonpositive_measured_bias_exits_2(self, tmp_path, capsys,
+                                               monkeypatch, bias):
+        def never(*args, **kwargs):
+            raise AssertionError("the samples were fitted")
+
+        monkeypatch.setattr(source_calib, "calibration_pipeline", never)
+        cfg = small_config("calibrate.json")
+        del cfg["synthesize"]
+        path = str(tmp_path / "power.csv")
+        data = np.column_stack([np.linspace(5e-3, 2e-2, 9),
+                                np.linspace(1e-9, 5e-9, 9)])
+        data[2, 0] = bias
+        write_table(path, ["bias_V (V)", "power_W (W)"], data)
+        cfg.update(power_csv=path, p_out_zero_w=1e-12)
+        out = str(tmp_path / "cal.json")
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out,
+                   f"config error: {path}: column 'bias_V' holds {bias!r} "
+                   "in data row 3, not a positive bias")
 
     def test_thermal_a_coeff_is_not_a_key(self, tmp_path, capsys):
         # the response constant comes from the material constants only

@@ -18,9 +18,12 @@ from hypothesis import strategies as st
 from qcrlab import cli
 from qcrlab.errors import ConfigError
 
-CONFIGS = {p.name: json.loads(p.read_text()) for p in
-           sorted((Path(__file__).resolve().parent.parent
-                   / "configs").glob("*.json"))}
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = {p.name: json.loads(p.read_text())
+           for p in sorted((ROOT / "configs").glob("*.json"))}
+# the configs the benchmark runs, at seed 0 as written
+BENCH_CONFIGS = json.loads(
+    (ROOT / "bench" / "inputs.json").read_text())["configs"]
 SCHEMA = cli._schema()
 ORACLE = jsonschema.Draft202012Validator(SCHEMA)
 
@@ -155,6 +158,13 @@ def test_shipped_configs_are_valid(name):
     assert checker_error(CONFIGS[name]) is None
 
 
+@pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
+def test_benchmark_configs_are_valid(name):
+    # a schema change that refused one would fail the benchmark's runs
+    assert not list(ORACLE.iter_errors(BENCH_CONFIGS[name]))
+    assert checker_error(BENCH_CONFIGS[name]) is None
+
+
 # JSON, not Python, equality and types: 5.0 is an integer, true is not 1
 @pytest.mark.parametrize("keys, value, valid", [
     (("grid", "points"), 5, True), (("grid", "points"), 5.0, True),
@@ -253,8 +263,9 @@ def annotated_defaults():
     for branch in SCHEMA["allOf"]:
         command = branch["if"]["properties"]["command"]["const"]
         for key, sub in branch["then"].get("properties", {}).items():
-            yield (f"{command}.{key}", sub["default"],
-                   {**SCHEMA["properties"][key], **sub})
+            if "default" in sub:    # a key the command reads, no default
+                yield (f"{command}.{key}", sub["default"],
+                       {**SCHEMA["properties"][key], **sub})
 
 
 def test_every_default_is_valid_where_it_sits():
