@@ -54,8 +54,8 @@ import gc
 import json
 import math
 import operator
+import os
 import sys
-from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -74,8 +74,10 @@ _TWO_PI = 2.0 * math.pi
 
 @functools.cache
 def _schema() -> dict:
-    text = resources.files("qcrlab").joinpath("schema.json").read_text()
-    return json.loads(text)
+    # read beside this module: importlib.resources costs an import of its own
+    with open(os.path.join(os.path.dirname(__file__), "schema.json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 # the draft 2020-12 keywords _violations implements; additionalProperties
@@ -537,6 +539,17 @@ def _cmd_diff_lamb(cfg: dict) -> tuple:
     return cols, rows, {"minuend": cfg["csv_a"], "subtrahend": cfg["csv_b"]}
 
 
+def _finite_powers(where: str, volts: np.ndarray, powers: np.ndarray) -> None:
+    """ConfigError naming ``where`` and the bias of the first synthesised
+    power that is not finite; ``powers`` ends with the zero-bias one."""
+    bad = np.flatnonzero(~np.isfinite(powers))
+    if bad.size:
+        i = bad[0]
+        at = f"bias {float(volts[i])!r} V" if i < len(volts) else "zero bias"
+        raise ConfigError(f"{where}: the synthesised output power at {at} "
+                          f"is {float(powers[i])!r} W, not finite")
+
+
 def _run_calibrate(cfg: dict, out: str, seed: int) -> dict:
     cal = cfg["calibration"]
     cp = _built("calibration", source_calib.CalibrationParams,
@@ -547,44 +560,43 @@ def _run_calibrate(cfg: dict, out: str, seed: int) -> dict:
                 omega_r=ghz_to_omega(cal["f_r_ghz"]),
                 delta=uev_to_joule(cal["delta_uev"]))
     bw = cfg["bandwidth_hz"]
+    syn = cfg.get("synthesize")
+    if syn is not None and syn["bias_max"] <= syn["bias_min"]:
+        raise ConfigError("synthesize.bias_max must exceed bias_min")
+    # every input table is read, and refused, before anything is computed
+    if syn is None:
+        samples = source_calib.load_power_samples(cfg["power_csv"])
+        p_zero = cfg["p_out_zero_w"]
+    trace = (source_calib.load_reflection_trace(cfg["reflection_csv"])
+             if "reflection_csv" in cfg else None)
 
     payload: dict = {}
-    if "synthesize" in cfg:
-        syn = cfg["synthesize"]
-        if syn["bias_max"] <= syn["bias_min"]:
-            raise ConfigError("synthesize.bias_max must exceed bias_min")
+    if syn is not None:
         scale = 2.0 * cp.delta / E_CHARGE
         volts = np.linspace(syn["bias_min"], syn["bias_max"],
                             syn["points"]) * scale
+        model = np.array([syn["gain"] * source_calib.p_tr_model(v, cp)
+                          for v in volts])
+        _finite_powers("calibration", volts, model)
         noise_floor = syn["gain"] * K_B * syn["t_noise_k"] * bw
-        p_out = np.array([syn["gain"] * source_calib.p_tr_model(v, cp)
-                          for v in volts]) + noise_floor
-        p_zero = noise_floor
+        powers = np.append(model + noise_floor, noise_floor)
+        _finite_powers("synthesize", volts, powers)
         if syn["noise_sigma_w"] > 0:
             # loaded only here, by the one command that draws noise; one
             # stream: a deviate per sample, then one for p_zero
             from ._normal import normal
-            noise = normal(seed, syn["noise_sigma_w"], len(volts) + 1)
-            p_out = p_out + noise[:-1]
-            p_zero = p_zero + noise[-1]
-        samples = list(zip(volts.tolist(), p_out.tolist()))
+            powers = powers + normal(seed, syn["noise_sigma_w"], len(powers))
+            _finite_powers("synthesize.noise_sigma_w", volts, powers)
+        samples = list(zip(volts.tolist(), powers[:-1].tolist()))
+        p_zero = float(powers[-1])
         payload["injected"] = {"gain": syn["gain"],
                                "t_noise_k": syn["t_noise_k"]}
-    else:
-        samples = source_calib.load_power_samples(cfg["power_csv"])
-        for row, (v, _) in enumerate(samples, 1):
-            if v <= 0:
-                raise ConfigError(f"{cfg['power_csv']}: column 'bias_V' "
-                                  f"holds {v!r} in data row {row}, not a "
-                                  "positive bias")
-        p_zero = cfg["p_out_zero_w"]
 
     record = source_calib.calibration_pipeline(samples, p_zero, cp, bw)
     payload["record"] = record.as_dict()
     payload["n_samples"] = len(samples)
 
-    if "reflection_csv" in cfg:
-        trace = source_calib.load_reflection_trace(cfg["reflection_csv"])
+    if trace is not None:
         wr, gtr, gint = source_calib.fit_reflection(trace)
         payload["reflection_fit"] = {
             "f_r_ghz": wr / (_TWO_PI * 1e9),

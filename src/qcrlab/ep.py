@@ -107,10 +107,15 @@ class FluxMap(Frozen):
             raise ValueError("omega2_max must be positive")
         if len(self.phi_grid) == 0:
             raise ValueError("flux grid must be non-empty")
+        require_finite(self, "omega2_max")
         object.__setattr__(self, "phi_grid", tuple(float(x)
                                                    for x in self.phi_grid))
-        if not np.all(np.isfinite(self.omega2_of_phi())):
-            raise ValueError("omega2 must be finite on the flux grid")
+        for phi in self.phi_grid:
+            # tested before omega2, whose cos raises at an infinite argument
+            if not (math.isfinite(math.pi * phi)
+                    and math.isfinite(self.omega2(phi))):
+                raise ValueError("omega2 must be finite on the flux grid, "
+                                 f"not at phi = {phi!r}")
 
     def omega2(self, phi: float) -> float:
         return self.omega2_max * math.sqrt(abs(math.cos(math.pi * phi)))

@@ -149,6 +149,26 @@ _GAP_GRADING = _symmetric(4.0 ** -np.arange(8.0, -1.0, -1.0))
 _KINK_GRADING = _symmetric((np.arange(1.0, 9.0) ** 2 + 1.0) / 2.0)
 
 
+def _kernel(b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The kernel K at eps = E + kT u, for b = E/kT and u >= -60.
+
+    Every exponent is shifted by -(b + max(u, 0)), so nothing overflows
+    and no term cancels.  A small term is raised to no less than e^-40 of
+    the term it is added to, exp(-up) in the numerator and exp(lo) >=
+    e^-60 in the denominator.  That is under half an ulp of the sum, so
+    every sum keeps its bits, and exp stays off its slow subnormal and
+    underflow paths.
+    """
+    up, lo = np.maximum(u, 0.0), np.minimum(u, 0.0)
+    a, m = b + u, b + up
+    ea, eb = np.exp(lo), np.exp(-up)
+    num = -np.expm1(-2.0 * a) * ea * (np.exp(np.maximum(-m, -up - 40.0))
+                                      + eb)
+    den = (ea + np.exp(np.maximum(-a - m, lo - 40.0)) + eb
+           + np.exp(np.maximum(-b - m, lo - 40.0)))
+    return num / (den * den)
+
+
 def _rate_at_temperature(e: np.ndarray, p: JunctionParams,
                          epsrel: float) -> np.ndarray:
     kt = K_B * p.temp_n
@@ -156,15 +176,7 @@ def _rate_at_temperature(e: np.ndarray, p: JunctionParams,
 
     def integrand(uk):
         u, k = uk
-        # the kernel K at eps = E + kT u, every exponent shifted by
-        # -(b + max(u, 0)), so nothing overflows and no term cancels
-        bk, up = b[k], np.maximum(u, 0.0)
-        a, m = bk + u, bk + up
-        ea, eb = np.exp(np.minimum(u, 0.0)), np.exp(-up)
-        num = -np.expm1(-2.0 * a) * ea * (np.exp(-m) + eb)
-        den = ea + np.exp(-a - m) + eb + np.exp(-bk - m)
-        n = _shifted_cumulative_dos(e[k], kt * u, p)
-        return n * (num / (den * den))
+        return _shifted_cumulative_dos(e[k], kt * u, p) * _kernel(b[k], u)
 
     # panel edges graded toward the kink u = 0 and toward the gap edge let
     # the first Kronrod pass resolve both.  Far above the gap edge its

@@ -344,8 +344,13 @@ def _finite_columns(path: str, *names: str) -> list[np.ndarray]:
 
 
 def load_power_samples(path: str) -> list[tuple[float, float]]:
-    """Read (bias_V, power_W) pairs from a measurement-style CSV."""
+    """Read (bias_V, power_W) pairs from a measurement-style CSV; every
+    bias must be positive, the domain of the output-power fit."""
     v, p = _finite_columns(path, "bias_V", "power_W")
+    bad = np.flatnonzero(v <= 0)
+    if bad.size:
+        raise ConfigError(f"{path}: column 'bias_V' holds {float(v[bad[0]])!r}"
+                          f" in data row {bad[0] + 1}, not a positive bias")
     return list(zip(v.tolist(), p.tolist()))
 
 

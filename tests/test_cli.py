@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from scipy import constants as sc
 
 import qcrlab
-from qcrlab import (RatePair, cli, dynamics, ep, junction, lamb, read_table,
-                    source_calib, spectrum, write_table)
+from qcrlab import (ConfigError, RatePair, cli, dynamics, ep, junction, lamb,
+                    read_table, source_calib, spectrum, write_table)
 from qcrlab.cli import _build_junction, load_and_validate, main
 from qcrlab.units import E_CHARGE, uev_to_joule
 
@@ -1062,9 +1062,10 @@ class TestOneFailureLine:
                    f"two_mode.kappa_ext_mhz {2.0 * k1!r} exceeds "
                    f"two_mode.kappa1_mhz {k1!r}")
 
-    @pytest.mark.parametrize("bias", [0.0, -5e-3])
+    @pytest.mark.parametrize("bias", [0.0, -0.0, -5e-3])
     def test_nonpositive_measured_bias_exits_2(self, tmp_path, capsys,
                                                monkeypatch, bias):
+        # refused by the table's loader, which the CLI reports as it is
         def never(*args, **kwargs):
             raise AssertionError("the samples were fitted")
 
@@ -1078,10 +1079,76 @@ class TestOneFailureLine:
         write_table(path, ["bias_V (V)", "power_W (W)"], data)
         cfg.update(power_csv=path, p_out_zero_w=1e-12)
         out = str(tmp_path / "cal.json")
+        message = (f"{path}: column 'bias_V' holds {bias!r} in data row 3, "
+                   "not a positive bias")
+        with pytest.raises(ConfigError) as exc:
+            source_calib.load_power_samples(path)
+        assert str(exc.value) == message
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out, f"config error: {message}")
+
+    @pytest.mark.parametrize("measured", [False, True])
+    @pytest.mark.parametrize("text", [None, "# freq_Hz (Hz), re_gamma, "
+                                            "im_gamma\n4.7e9,spam,0\n"],
+                             ids=["missing", "malformed"])
+    def test_reflection_table_is_read_before_anything_is_computed(
+            self, tmp_path, capsys, monkeypatch, measured, text):
+        def never(*args, **kwargs):
+            raise AssertionError("computed before the tables were read")
+
+        monkeypatch.setattr(source_calib, "calibration_pipeline", never)
+        monkeypatch.setattr(source_calib, "p_tr_model", never)
+        cfg = small_config("calibrate.json")
+        if measured:
+            del cfg["synthesize"]
+            power = str(tmp_path / "power.csv")
+            write_table(power, ["bias_V (V)", "power_W (W)"],
+                        np.column_stack([np.linspace(5e-3, 2e-2, 9),
+                                         np.linspace(1e-9, 5e-9, 9)]))
+            cfg.update(power_csv=power, p_out_zero_w=1e-12)
+        trace = tmp_path / "trace.csv"
+        if text is not None:
+            trace.write_text(text)
+        cfg["reflection_csv"] = str(trace)
+        out = str(tmp_path / "cal.json")
         self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
                             "--out", out], out,
-                   f"config error: {path}: column 'bias_V' holds {bias!r} "
-                   "in data row 3, not a positive bias")
+                   f"{trace}: malformed data line" if text else
+                   f"cannot read table {str(trace)!r}")
+
+    @pytest.mark.parametrize("edits,named", [
+        ({"calibration": {"gamma_tr_per_s": 1.7e308}}, "calibration"),
+        ({"calibration": {"gamma_t_bar_per_s": 1.7e308}}, "calibration"),
+        ({"synthesize": {"gain": 1.7e308, "t_noise_k": 1e20},
+          "bandwidth_hz": 1e10}, "synthesize"),
+        ({"synthesize": {"noise_sigma_w": 1.7e308}},
+         "synthesize.noise_sigma_w")],
+        ids=["gamma_tr", "gamma_t_bar", "noise_floor", "noise"])
+    def test_overflowing_synthesis_names_its_block_and_bias(
+            self, tmp_path, capsys, monkeypatch, edits, named):
+        def never(*args, **kwargs):
+            raise AssertionError("overflowing samples were fitted")
+
+        monkeypatch.setattr(source_calib, "calibration_pipeline", never)
+        cfg = small_config("calibrate.json")
+        for key, value in edits.items():
+            cfg[key] = ({**cfg[key], **value} if isinstance(value, dict)
+                        else value)
+        out = str(tmp_path / "cal.json")
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out,
+                   f"config error: {named}: the synthesised output power "
+                   "at bias ")
+
+    def test_overflowing_flux_point_is_named(self, tmp_path, capsys):
+        cfg = small_config("ep_map.json")
+        cfg["flux"]["stop"] = 1.7e308
+        out = str(tmp_path / "x.csv")
+        # the grid is 0, 8.5e307, 1.7e308: pi * 8.5e307 overflows
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out,
+                   "config error: flux: omega2 must be finite on the flux "
+                   f"grid, not at phi = {1.7e308 / 2!r}")
 
     def test_thermal_a_coeff_is_not_a_key(self, tmp_path, capsys):
         # the response constant comes from the material constants only

@@ -1,6 +1,7 @@
 """Coupled lossy modes: eigenvalue coalescence and flux maps."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -211,3 +212,15 @@ class TestTransmission:
             FluxMap(phi_grid=(), omega2_max=W1)
         with pytest.raises(ValueError):
             FluxMap(phi_grid=(0.0,), omega2_max=0.0)
+
+    @pytest.mark.parametrize("phi", [math.nan, 1e308, -math.inf])
+    def test_flux_map_names_its_first_nonfinite_point(self, phi):
+        # pi * 1e308 overflows, and cos of it would raise, not return NaN
+        with pytest.raises(ValueError, match=re.escape(
+                f"omega2 must be finite on the flux grid, not at phi = "
+                f"{phi!r}")):
+            FluxMap(phi_grid=(0.1, phi, math.nan), omega2_max=W1)
+
+    def test_flux_map_refuses_an_infinite_maximum(self):
+        with pytest.raises(ValueError, match="omega2_max must be finite"):
+            FluxMap(phi_grid=(0.1,), omega2_max=math.inf)

@@ -323,6 +323,54 @@ class TestDirectQuadrature:
             assert len(calls) <= 2, x
 
 
+def unclamped_integrand(e, b, kt, j, u):
+    """The direct integrand as written before its small exponentials were
+    clamped, kept as the reference of the clamped one."""
+    up = np.maximum(u, 0.0)
+    a, m = b + u, b + up
+    ea, eb = np.exp(np.minimum(u, 0.0)), np.exp(-up)
+    num = -np.expm1(-2.0 * a) * ea * (np.exp(-m) + eb)
+    den = ea + np.exp(-a - m) + eb + np.exp(-b - m)
+    n = junction._shifted_cumulative_dos(e, kt * u, j)
+    return n * (num / (den * den))
+
+
+class TestClampedIntegrand:
+    """exp of a term under e^-40 of its partner is clamped there, under
+    half an ulp of the sum: the integrand keeps every bit."""
+
+    @settings(max_examples=60)
+    @given(st.floats(-9.0, math.log10(0.3)),
+           st.one_of(st.just(0.0), st.floats(-6.0, -3.0)),
+           st.lists(st.floats(0.0, 60.0), min_size=1, max_size=24),
+           st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_unclamped(self, log_temp, log_dynes, xs, seed):
+        dynes = 0.0 if log_dynes == 0.0 else 10.0**log_dynes
+        j = make_j(dynes=dynes, temp=10.0**log_temp)
+        e = np.array(xs) * DELTA
+        captured = []
+
+        def quad(f, lo, hi, **kwargs):
+            captured.append((f, lo, hi))
+            return np.zeros(e.size), None
+
+        with mock.patch.object(junction, "adaptive_quad", quad):
+            junction._rate_at_temperature(e, j, 1e-9)
+        (f, lo, hi), = captured
+        # nodes over each energy's whole domain, and as many within 200 of
+        # its lower end, where the kernel's exponents are moderate
+        rng = np.random.default_rng(seed)
+        k = np.repeat(np.arange(e.size), 400)
+        u = np.where(np.arange(k.size) % 2,
+                     rng.uniform(lo[k], hi[k]),
+                     rng.uniform(lo[k], np.minimum(hi[k], lo[k] + 200.0)))
+        u = np.concatenate([u, lo, hi, np.zeros(e.size)])
+        k = np.concatenate([k, np.tile(np.arange(e.size), 3)])
+        kt = K_B * j.temp_n
+        want = unclamped_integrand(e[k], e[k] / kt, kt, j, u)
+        assert f((u, k)).tobytes() == want.tobytes()
+
+
 def one_by_one(e, j, epsrel):
     """``forward_rate`` of each energy alone.
 

@@ -1,13 +1,13 @@
 """Deterministic CSV table format tests."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcrlab import ConfigError, Table, read_table, write_sidecar, write_table
-from qcrlab.tableio import (READ_CHUNK_LINES, WRITE_CHUNK_ROWS,
-                            ensure_parent_dir, format_float)
+from qcrlab.tableio import WRITE_CHUNK_ROWS, ensure_parent_dir, format_float
 
 # rows of every kind format_float must render: signed zero, subnormals,
 # infinities, NaN, integers beyond 2**53 and repeating fractions
@@ -69,7 +69,11 @@ class TestChunkedWriter:
 
 
 class TestChunkedReader:
-    CHUNK = READ_CHUNK_LINES
+    """The reader parses a file in one pass.  Its files are laid out in
+    blocks of 1024 lines, the size it once parsed at a time, so that a
+    reader that buffers lines in blocks is tested across their edges."""
+
+    CHUNK = 1024
     HEADER = "# a (1), b (1), c (1)\n"
 
     def lines(self, data):
@@ -83,7 +87,7 @@ class TestChunkedReader:
         lines[2 * self.CHUNK - 1:2 * self.CHUNK - 1] = ["\n", self.HEADER]
         return lines
 
-    @pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1, 7381])
     def test_round_trip_across_chunks(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         data = rng.standard_normal((rows, 3)) \
@@ -126,6 +130,22 @@ class TestChunkedReader:
         assert table.columns == ["a (1)", "b (1)", "c (1)"]
         assert table.comments == ["first", "between chunks"]
         assert table.data.tobytes() == data.tobytes()
+
+    def test_values_are_held_once(self, tmp_path):
+        # the rows' floats go to one buffer that the table's data views: no
+        # list of rows and no second copy of the data
+        rows = 20000
+        path = tmp_path / "t.csv"
+        write_table(str(path), ["a (1)", "b (1)", "c (1)"],
+                    np.linspace(0.0, 1.0, 3 * rows).reshape(rows, 3))
+        tracemalloc.start()
+        try:
+            table = read_table(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.data.shape == (rows, 3)
+        assert peak < 10 * table.data.size
 
 
 class TestCommentsAfterTheData:
