@@ -316,11 +316,17 @@ def _build_drive(blk: dict, mean_n) -> DriveState:
                   fock_cut=blk["fock_cut"])
 
 
-def _grid_axis(blk: dict) -> np.ndarray:
-    start, stop, points = blk["start"], blk["stop"], blk["points"]
-    if points > 1 and stop <= start:
-        raise ConfigError("grid.stop must exceed grid.start")
-    return np.linspace(start, stop, points)
+def _grid_axis(cfg: dict, block: str, start: str = "start",
+               stop: str = "stop") -> np.ndarray:
+    """The evenly spaced axis ``cfg[block]``, key ``start`` to ``stop``."""
+    blk = cfg[block]
+    lo, hi, points = blk[start], blk[stop], blk["points"]
+    if points > 1 and hi <= lo:
+        raise ConfigError(f"{block}.{stop} must exceed {block}.{start}")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{block}.{stop} - {block}.{start} overflows a "
+                          "double")
+    return np.linspace(lo, hi, points)
 
 
 def _bias_scale(j: JunctionParams) -> float:
@@ -351,7 +357,7 @@ def _rate_table(axis: str, xs, r: spectrum.RatePair,
 def _cmd_sweep_bias(cfg: dict) -> tuple:
     j, dev, mode = _circuit(cfg)
     scale = _bias_scale(j)
-    xs = _grid_axis(cfg["grid"])
+    xs = _grid_axis(cfg, "grid")
     r = spectrum.transition_rates(xs * scale, mode, j, dev,
                                   epsrel=cfg["epsrel"])
     return (*_rate_table("bias (eV/2Delta)", xs, r, mode.omega),
@@ -362,7 +368,7 @@ def _cmd_rf_sweep(cfg: dict) -> tuple:
     j, dev, mode = _circuit(cfg)
     smode = _build_mode(cfg, "support_mode")
     v = cfg["bias"] * _bias_scale(j)
-    ns = _grid_axis(cfg["grid"])
+    ns = _grid_axis(cfg, "grid")
     r = spectrum.rf_transition_rates(v, mode, smode,
                                      _build_drive(cfg["drive"], ns), j, dev,
                                      epsrel=cfg["epsrel"])
@@ -384,7 +390,7 @@ def _cmd_lamb_shift(cfg: dict) -> tuple:
         res = lamb.lamb_shift(dens, mode.omega)
         return [x, res.shift / _TWO_PI]
 
-    rows = [point(x) for x in _grid_axis(cfg["grid"])]
+    rows = [point(x) for x in _grid_axis(cfg, "grid")]
     cols = ["bias (eV/2Delta)", "lamb_shift (Hz)"]
     meta: dict = {"bias_scale_v": scale,
                   "spectrum_grid_rad_s": [float(wgrid[0]), float(wgrid[-1])]}
@@ -403,7 +409,7 @@ def _cmd_reset_sim(cfg: dict) -> tuple:
     extra = cfg["extra"]
     eps = cfg["epsrel"]
     scale = _bias_scale(j)
-    ts_ns = _grid_axis(cfg["grid"])
+    ts_ns = _grid_axis(cfg, "grid")
     t_end = float(ts_ns[-1]) * 1e-9
     if not t_end > 0:
         raise ConfigError("time grid must end after zero: grid.stop must be "
@@ -464,13 +470,9 @@ def _cmd_ep_map(cfg: dict) -> tuple:
                           "exceeds two_mode.kappa1_mhz "
                           f"{tm['kappa1_mhz']!r}")
     fm = _built("flux", ep.FluxMap,
-                phi_grid=tuple(_grid_axis(cfg["flux"])),
+                phi_grid=tuple(_grid_axis(cfg, "flux")),
                 omega2_max=ghz_to_omega(tm["f2_max_ghz"]))
-    probe_blk = cfg["probe"]
-    if probe_blk["f_stop_ghz"] <= probe_blk["f_start_ghz"]:
-        raise ConfigError("probe.f_stop_ghz must exceed probe.f_start_ghz")
-    freqs_ghz = np.linspace(probe_blk["f_start_ghz"],
-                            probe_blk["f_stop_ghz"], probe_blk["points"])
+    freqs_ghz = _grid_axis(cfg, "probe", "f_start_ghz", "f_stop_ghz")
     amp = ep.transmission_map(fm, p, ghz_to_omega(freqs_ghz),
                               kappa_ext=kext)
     rows = np.column_stack([np.repeat(fm.phi_grid, len(freqs_ghz)),
@@ -495,7 +497,7 @@ def _cmd_source(cfg: dict) -> tuple:
                  z0=blk["z0_ohm"],
                  l_res=1e-3 * blk["l_res_mm"],
                  c_per_len=1e-12 * blk["c_per_len_pf_m"])
-    xs = _grid_axis(cfg["grid"])
+    xs = _grid_axis(cfg, "grid")
     scale = _bias_scale(j)
     sp = source_calib.source_sweep_point(
         xs * scale, src, mode, j, dev, gamma_tr=line["gamma_tr_per_s"],
@@ -521,7 +523,7 @@ def _cmd_thermal(cfg: dict) -> tuple:
         ta = thermal_mod.steady_state(net, tb)
         return [tb, ta, thermal_mod.g_quantum(ta)]
 
-    rows = [point(tb) for tb in _grid_axis(cfg["grid"])]
+    rows = [point(tb) for tb in _grid_axis(cfg, "grid")]
     cols = ["t_b (K)", "t_a (K)", "g_quantum (W/K)"]
     return cols, rows, {"a_coefficient": thermal_mod.a_coefficient(net)}
 
@@ -539,15 +541,29 @@ def _cmd_diff_lamb(cfg: dict) -> tuple:
     return cols, rows, {"minuend": cfg["csv_a"], "subtrahend": cfg["csv_b"]}
 
 
-def _finite_powers(where: str, volts: np.ndarray, powers: np.ndarray) -> None:
+def _unfittable(x: np.ndarray) -> np.ndarray:
+    """Where the output-power fit cannot hold ``x``: not finite, or
+    ``len(x) * x**2`` overflows, which bounds the sums of squares of its
+    column norms and its residual."""
+    with np.errstate(over="ignore"):
+        return ~np.isfinite(len(x) * x * x)
+
+
+def _finite_powers(where: str, volts: np.ndarray, powers: np.ndarray,
+                   fitted: bool = True) -> None:
     """ConfigError naming ``where`` and the bias of the first synthesised
-    power that is not finite; ``powers`` ends with the zero-bias one."""
-    bad = np.flatnonzero(~np.isfinite(powers))
+    power that is not finite or, if ``fitted``, that the fit cannot hold;
+    ``powers`` ends with the zero-bias one."""
+    bad = np.flatnonzero(_unfittable(powers) if fitted
+                         else ~np.isfinite(powers))
     if bad.size:
         i = bad[0]
+        p = float(powers[i])
         at = f"bias {float(volts[i])!r} V" if i < len(volts) else "zero bias"
+        why = "whose square overflows the fit" if math.isfinite(p) \
+            else "not finite"
         raise ConfigError(f"{where}: the synthesised output power at {at} "
-                          f"is {float(powers[i])!r} W, not finite")
+                          f"is {p!r} W, {why}")
 
 
 def _run_calibrate(cfg: dict, out: str, seed: int) -> dict:
@@ -561,23 +577,26 @@ def _run_calibrate(cfg: dict, out: str, seed: int) -> dict:
                 delta=uev_to_joule(cal["delta_uev"]))
     bw = cfg["bandwidth_hz"]
     syn = cfg.get("synthesize")
-    if syn is not None and syn["bias_max"] <= syn["bias_min"]:
-        raise ConfigError("synthesize.bias_max must exceed bias_min")
-    # every input table is read, and refused, before anything is computed
+    # the bias axis and every input table are refused before any compute
     if syn is None:
         samples = source_calib.load_power_samples(cfg["power_csv"])
         p_zero = cfg["p_out_zero_w"]
+    else:
+        volts = _grid_axis(cfg, "synthesize", "bias_min", "bias_max") \
+            * (2.0 * cp.delta / E_CHARGE)
     trace = (source_calib.load_reflection_trace(cfg["reflection_csv"])
              if "reflection_csv" in cfg else None)
 
     payload: dict = {}
     if syn is not None:
-        scale = 2.0 * cp.delta / E_CHARGE
-        volts = np.linspace(syn["bias_min"], syn["bias_max"],
-                            syn["points"]) * scale
         model = np.array([syn["gain"] * source_calib.p_tr_model(v, cp)
                           for v in volts])
-        _finite_powers("calibration", volts, model)
+        _finite_powers("calibration", volts, model, fitted=False)
+        bad = np.flatnonzero(_unfittable(volts) | _unfittable(1.0 / volts))
+        if bad.size:
+            raise ConfigError("calibration: the synthesised bias "
+                              f"{float(volts[bad[0]])!r} V overflows the fit, "
+                              "which squares it and its reciprocal")
         noise_floor = syn["gain"] * K_B * syn["t_noise_k"] * bw
         powers = np.append(model + noise_floor, noise_floor)
         _finite_powers("synthesize", volts, powers)

@@ -332,6 +332,19 @@ def _unique(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs[first], inv
 
 
+def _integrand_holds(e_max: float, p: JunctionParams) -> bool:
+    """Whether the integrand of F holds every ``|E| <= e_max`` in doubles.
+
+    It reaches energies up to twice ``e_max``, where the top interpolant
+    base ends, plus the kernel's 60 kT tail.  ``N`` squares them, and the
+    kernel doubles them in units of kT.
+    """
+    kt = K_B * p.temp_n
+    top = 2.0 * max(e_max, p.delta) + 60.0 * kt
+    return math.isfinite(top * top) and (kt == 0.0
+                                         or math.isfinite(2.0 * top / kt))
+
+
 def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     """Normalised tunnelling rate F(E) for energy gain ``e_gain`` (1/s).
 
@@ -385,7 +398,10 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     Raises
     ------
     ValueError
-        When an energy is not finite; the message names the first one.
+        When an energy is not finite, the message naming the first one, or
+        when the integrand cannot hold the largest ``|E|`` because its
+        ``E/kT`` or the product inside ``N(E)`` overflows a double, the
+        message naming that energy.
     QuadratureError
         When the integral at some energy does not converge; the message
         names that energy.
@@ -395,10 +411,14 @@ def forward_rate(e_gain, p: JunctionParams, *, epsrel: float = 1e-11):
     if bad.size:
         raise ValueError(f"forward rate F(E) needs finite energies, got "
                          f"E = {float(bad[0])!r} J")
+    mag, inv = _unique(np.abs(e).ravel())
+    if mag.size and not _integrand_holds(float(mag[-1]), p):
+        raise ValueError(f"forward rate F(E) at E = "
+                         f"{float(e.flat[np.abs(e).argmax()])!r} J "
+                         "overflows its integrand in doubles")
     if K_B * p.temp_n == 0.0:
         # the occupations collapse to the window (0, E), empty for E <= 0
         return cumulative_dos(np.maximum(e, 0.0), p) / PLANCK
-    mag, inv = _unique(np.abs(e).ravel())
     panels = None
     if mag.size >= _CHEB_N:
         try:

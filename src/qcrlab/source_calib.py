@@ -120,7 +120,8 @@ def p_tr_model(v: float, cp: CalibrationParams) -> float:
     bracket = cp.gamma_x * (cp.n_x - cp.n_tr) / cp.gamma_t_bar \
         - cp.n_tr - 0.5
     body = 0.25 * E_CHARGE * v + HBAR * cp.omega_r * bracket \
-        - 0.5 * (cp.delta ** 2 / (E_CHARGE * v)) * (1.0 + cp.gamma_t_bar / gsum)
+        - 0.5 * (cp.delta * cp.delta / (E_CHARGE * v)) \
+        * (1.0 + cp.gamma_t_bar / gsum)
     return pref * body
 
 
@@ -319,13 +320,19 @@ def calibration_pipeline(samples: Sequence[tuple[float, float]],
                          p_out_zero: float, cp: CalibrationParams,
                          bw: float) -> CalibrationRecord:
     """Fit the output-power sweep and derive chain gain and noise; a
-    fitted slope that gives no positive gain is a ``FitError``."""
-    a, b, c, rms = fit_output_power(samples)
+    fitted slope that gives no positive gain, and a fit that overflows to
+    a gain, noise temperature or residual that is not finite, are each a
+    ``FitError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c, rms = fit_output_power(samples)
     g = gain_from_fit(a, cp)
     if not g > 0:
         raise FitError(f"fitted slope a = {a!r} W/V gives a chain gain of "
                        f"{g!r}, not a positive one")
     tn = noise_temperature(p_out_zero, g, bw)
+    if not all(map(math.isfinite, (g, tn, rms))):
+        raise FitError(f"the output-power fit overflows: gain {g!r}, noise "
+                       f"temperature {tn!r} K, residual {rms!r} W")
     return CalibrationRecord(a=a, b=b, c=c, gain=g, t_noise=tn, residual=rms)
 
 

@@ -928,6 +928,53 @@ class TestDiffCommand:
             f"tables {pa!r} and {pb!r} do not share a sweep grid")
 
 
+def run_fresh(tmp_path, cfg, *args):
+    """``python -m qcrlab`` on ``cfg`` in a fresh interpreter, writing to
+    ``tmp_path``; in it nothing but main writes to stderr."""
+    src = str(Path(qcrlab.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "qcrlab", "--config", dump_cfg(tmp_path, cfg),
+         "--out", str(tmp_path / "x.out"), *args], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))})
+
+
+# every evenly spaced axis a command reads from its config: (config,
+# block, start key, stop key)
+AXES = [*((name, "grid", "start", "stop") for name in (
+    "sweep_bias.json", "rf_sweep.json", "lamb_shift.json", "reset_sim.json",
+    "source.json", "thermal.json")),
+    ("ep_map.json", "flux", "start", "stop"),
+    ("ep_map.json", "probe", "f_start_ghz", "f_stop_ghz"),
+    ("calibrate.json", "synthesize", "bias_min", "bias_max")]
+
+# runs that overflow a double, each a small shipped config with one
+# block edited: id -> (config, edits, exit code, what the line names)
+OVERFLOWS = {
+    "flux-span": ("ep_map.json", {"flux": {"start": -1.7e308,
+                                           "stop": 1.7e308}},
+                  2, "config error: flux.stop - flux.start overflows"),
+    "grid-span": ("sweep_bias.json", {"grid": {"start": -1.7e308,
+                                               "stop": 1.7e308}},
+                  2, "config error: grid.stop - grid.start overflows"),
+    "energy": ("sweep_bias.json", {"grid": {"start": 0.0, "stop": 1.7e308,
+                                            "points": 3}},
+               3, "numeric error: forward rate F(E) at E = "),
+    "t_noise": ("calibrate.json", {"synthesize": {"t_noise_k": 1.7e308}},
+                2, "config error: synthesize: the synthesised output power "
+                   "at bias "),
+    "gap-1e160": ("calibrate.json", {"calibration": {"delta_uev": 1e160}},
+                  2, "config error: calibration: the synthesised bias "),
+    "gap-1e300": ("calibrate.json", {"calibration": {"delta_uev": 1e300}},
+                  2, "config error: calibration: the synthesised output "
+                     "power at bias "),
+    "gap-1.7e308": ("calibrate.json",
+                    {"calibration": {"delta_uev": 1.7e308}},
+                    2, "config error: calibration: the synthesised output "
+                       "power at bias "),
+}
+
+
 class TestOneFailureLine:
     """A failed run prints one line naming what failed and writes nothing."""
 
@@ -1179,21 +1226,62 @@ class TestOneFailureLine:
 
     @pytest.mark.parametrize("code", [2, 3])
     def test_fresh_process_prints_one_line(self, tmp_path, code):
-        # in a fresh interpreter nothing but main writes to stderr
         cfg = small_config("calibrate.json")
         if code == 3:
             cfg["synthesize"]["noise_sigma_w"] = 1e-6
         else:
             cfg["synthesize"]["bias_max"] = 1.0
-        src = str(Path(qcrlab.__file__).resolve().parent.parent)
-        res = subprocess.run(
-            [sys.executable, "-m", "qcrlab", "--config",
-             dump_cfg(tmp_path, cfg), "--out", str(tmp_path / "cal.json"),
-             "--seed", "2"], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        res = run_fresh(tmp_path, cfg, "--seed", "2")
         assert res.returncode == code
         assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize("name, edits, code, named",
+                             list(OVERFLOWS.values()), ids=list(OVERFLOWS))
+    def test_overflow_prints_one_line_in_a_fresh_process(
+            self, tmp_path, name, edits, code, named):
+        # no numpy warning reaches stderr before the failure line
+        cfg = small_config(name)
+        for block, value in edits.items():
+            cfg[block] = {**cfg[block], **value}
+        res = run_fresh(tmp_path, cfg)
+        assert res.returncode == code
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert res.stderr.startswith(named)
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_large_finite_bias_runs_quietly_in_a_fresh_process(self,
+                                                               tmp_path):
+        # a bias of 1e150 gaps is far beyond physics, but F(E) holds it
+        cfg = small_config("sweep_bias.json")
+        cfg["grid"] = {"start": 0.0, "stop": 1e150, "points": 3}
+        res = run_fresh(tmp_path, cfg)
+        assert (res.returncode, res.stderr) == (0, "")
+        rates = read_table(str(tmp_path / "x.out")).data[:, 1:3]
+        assert np.isfinite(rates).all() and (rates > 0).all()
+
+    @pytest.mark.parametrize("name, block, start, stop", AXES,
+                             ids=[f"{n.split('.')[0]}-{b}"
+                                  for n, b, _, _ in AXES])
+    @pytest.mark.parametrize("lo, hi", [(0.5, 0.25), (0.5, 0.5)],
+                             ids=["reversed", "empty"])
+    def test_axis_ending_before_it_starts_names_its_block(
+            self, tmp_path, capsys, monkeypatch, name, block, start, stop,
+            lo, hi):
+        # refused before any input table is read
+        def never(*args, **kwargs):
+            raise AssertionError("an input table was read")
+
+        monkeypatch.setattr(source_calib, "load_reflection_trace", never)
+        cfg = small_config(name)
+        cfg[block] = {**cfg[block], start: lo, stop: hi, "points": 3}
+        if name == "calibrate.json":
+            cfg["reflection_csv"] = str(tmp_path / "absent.csv")
+        out = str(tmp_path / "x.out")
+        self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
+                            "--out", out], out,
+                   f"config error: {block}.{stop} must exceed "
+                   f"{block}.{start}")
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 

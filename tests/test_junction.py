@@ -554,6 +554,26 @@ class TestValidation:
                 forward_rate(np.array(energies), make_j(temp=temp))
         fail.assert_not_called()
 
+    @pytest.mark.parametrize("temp,e_bad", [
+        (0.1, -2.8e285), (0.0, 2.8e285), (1e-300, 1e-14)],
+        ids=["square", "square-at-0K", "e-over-kt"])
+    def test_refuses_energy_its_integrand_cannot_hold(self, temp, e_bad):
+        # N squares energies up to about 2|E|, and the kernel doubles E/kT:
+        # F names the largest |E| before any quadrature
+        fail = mock.Mock(side_effect=AssertionError("quadrature ran"))
+        with mock.patch.object(junction, "adaptive_quad", fail):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"F(E) at E = {e_bad!r} J overflows its integrand")):
+                forward_rate(np.array([0.5 * DELTA, e_bad, 1e-20]),
+                             make_j(temp=temp))
+        fail.assert_not_called()
+
+    def test_holds_energies_far_above_the_gap(self):
+        # there F(E) is the normal-state rate E/h
+        e = np.array([1e127, 1e150, 6e153])
+        np.testing.assert_allclose(forward_rate(e, make_j()) * PLANCK / e,
+                                   1.0, rtol=1e-12)
+
     def test_device_junction_count(self):
         assert DeviceConfig().junctions == 2
         assert DeviceConfig(junctions=1).junctions == 1

@@ -116,6 +116,12 @@ class TestInputPowerModel:
         assert p_tr_model(
             1e-3, make_cal(gamma_tr=0.0, gamma_t_bar=0.0, gamma_x=0.0)) == 0.0
 
+    def test_overflowing_gap_gives_infinity(self):
+        # the gap is squared by a product, which overflows to inf, not by
+        # a power, which raises OverflowError
+        cp = make_cal(delta=1.7e308 * 1e-6 * sc.e)
+        assert p_tr_model(1e-3, cp) == -math.inf
+
     def test_high_bias_slope(self):
         cp = make_cal()
         gsum = cp.gamma_tr + cp.gamma_t_bar + cp.gamma_x
@@ -428,6 +434,18 @@ class TestPipeline:
         # the library's own check stays a parameter error
         with pytest.raises(ValueError, match="gain must be positive"):
             noise_temperature(1e-12, gain_from_fit(a, cp), 1e6)
+
+    @pytest.mark.parametrize("power", [
+        lambda v: 1e300 * v,
+        lambda v: 1e160 * (1.0 + (-1.0) ** np.arange(v.size))],
+        ids=["gain", "residual"])
+    def test_overflowing_fit_is_a_fit_error(self, power):
+        # a slope of 1e300 W/V overflows the gain, and residuals of 1e160 W
+        # their mean square: no warning, and no record of an infinity
+        cp = make_cal()
+        v = np.linspace(5, 20, 50) * 2.0 * cp.delta / sc.e
+        with pytest.raises(FitError, match="output-power fit overflows"):
+            calibration_pipeline(list(zip(v, power(v))), 1e-12, cp, 1e6)
 
     def test_record_rejects_negative_residual(self):
         from qcrlab.source_calib import CalibrationRecord
