@@ -541,12 +541,14 @@ def _cmd_diff_lamb(cfg: dict) -> tuple:
     return cols, rows, {"minuend": cfg["csv_a"], "subtrahend": cfg["csv_b"]}
 
 
-def _unfittable(x: np.ndarray) -> np.ndarray:
-    """Where the output-power fit cannot hold ``x``: not finite, or
-    ``len(x) * x**2`` overflows, which bounds the sums of squares of its
-    column norms and its residual."""
-    with np.errstate(over="ignore"):
-        return ~np.isfinite(len(x) * x * x)
+def _fittable_biases(where: str, biases: np.ndarray, unit: str) -> None:
+    """ConfigError naming ``where`` and the first synthesised bias that the
+    output-power fit cannot hold."""
+    bad = np.flatnonzero(source_calib._unfittable_bias(biases))
+    if bad.size:
+        raise ConfigError(f"{where}: the synthesised bias "
+                          f"{float(biases[bad[0]])!r} {unit} overflows the "
+                          "fit, which squares it and its reciprocal")
 
 
 def _finite_powers(where: str, volts: np.ndarray, powers: np.ndarray,
@@ -554,7 +556,7 @@ def _finite_powers(where: str, volts: np.ndarray, powers: np.ndarray,
     """ConfigError naming ``where`` and the bias of the first synthesised
     power that is not finite or, if ``fitted``, that the fit cannot hold;
     ``powers`` ends with the zero-bias one."""
-    bad = np.flatnonzero(_unfittable(powers) if fitted
+    bad = np.flatnonzero(source_calib._unfittable(powers) if fitted
                          else ~np.isfinite(powers))
     if bad.size:
         i = bad[0]
@@ -582,8 +584,9 @@ def _run_calibrate(cfg: dict, out: str, seed: int) -> dict:
         samples = source_calib.load_power_samples(cfg["power_csv"])
         p_zero = cfg["p_out_zero_w"]
     else:
-        volts = _grid_axis(cfg, "synthesize", "bias_min", "bias_max") \
-            * (2.0 * cp.delta / E_CHARGE)
+        xs = _grid_axis(cfg, "synthesize", "bias_min", "bias_max")
+        _fittable_biases("synthesize", xs, "(2Delta/e)")
+        volts = xs * (2.0 * cp.delta / E_CHARGE)
     trace = (source_calib.load_reflection_trace(cfg["reflection_csv"])
              if "reflection_csv" in cfg else None)
 
@@ -592,11 +595,8 @@ def _run_calibrate(cfg: dict, out: str, seed: int) -> dict:
         model = np.array([syn["gain"] * source_calib.p_tr_model(v, cp)
                           for v in volts])
         _finite_powers("calibration", volts, model, fitted=False)
-        bad = np.flatnonzero(_unfittable(volts) | _unfittable(1.0 / volts))
-        if bad.size:
-            raise ConfigError("calibration: the synthesised bias "
-                              f"{float(volts[bad[0]])!r} V overflows the fit, "
-                              "which squares it and its reciprocal")
+        # the unitless axis fits, so only the 2 Delta/e scale can overflow
+        _fittable_biases("calibration", volts, "V")
         noise_floor = syn["gain"] * K_B * syn["t_noise_k"] * bw
         powers = np.append(model + noise_floor, noise_floor)
         _finite_powers("synthesize", volts, powers)

@@ -302,17 +302,12 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
     a, b = edges[:-1], edges[1:]
 
     # each segment reads its level, or its ramp interval, at its midpoint;
-    # the flat sample axis holds each segment's samples, then its end
-    js = np.searchsorted(t_eval, edges, side="right")
-    count = np.diff(js) + 1
-    seg = np.repeat(np.arange(a.size), count)
-    ends = np.cumsum(count) - 1
-    at_end = np.zeros(seg.size, dtype=bool)
-    at_end[ends] = True
-    t = np.empty(seg.size)
-    t[ends] = b
-    t[~at_end] = t_eval[js[0]:]
-    u = t - a[seg]
+    # the flat axis holds every segment's end, then every sample after
+    # t = 0, in the segment it ends or lies inside
+    later = t_eval > 0.0
+    in_seg = np.searchsorted(edges, t_eval[later]) - 1
+    seg = np.concatenate([np.arange(a.size), in_seg])
+    u = np.concatenate([b - a, t_eval[later] - a[in_seg]])
 
     v = sched.voltage(0.5 * (a + b))
     off = (v == sched.v_off)[seg]
@@ -351,17 +346,17 @@ def evolve(init: LadderState, sched: PulseSchedule, env: RateSource,
         fed[ramp] = adaptive_quad(integrand, np.zeros(ramp_u.size), ramp_u,
                                   epsrel=RAMP_RTOL).value
 
-    # chain the segments in plain floats: the map at each segment's start
+    # chain the segment ends in plain floats: the map at each segment's start
     l_a, n_a = [0.0], [0.0]
-    for dl_k, decay_k, fed_k in zip(dl[ends].tolist(), decay[ends].tolist(),
-                                    fed[ends].tolist()):
+    for dl_k, decay_k, fed_k in zip(dl[:a.size].tolist(),
+                                    decay[:a.size].tolist(),
+                                    fed[:a.size].tolist()):
         l_a.append(l_a[-1] + dl_k)
         n_a.append(n_a[-1] * decay_k + fed_k)
-    l_a, n_a = np.array(l_a)[seg], np.array(n_a)[seg]
     # (-log eta, n) at each sample; those at t = 0 keep the identity map
     log_eta, n = np.zeros(t_eval.size), np.zeros(t_eval.size)
-    log_eta[js[0]:] = (l_a + dl)[~at_end]
-    n[js[0]:] = (n_a * decay + fed)[~at_end]
+    log_eta[later] = np.array(l_a)[in_seg] + dl[a.size:]
+    n[later] = np.array(n_a)[in_seg] * decay[a.size:] + fed[a.size:]
     return LadderTrajectory(t_eval, np.exp(-log_eta), n, init)
 
 

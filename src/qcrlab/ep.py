@@ -38,6 +38,9 @@ class TwoModeParams(Frozen):
         if not self.g >= 0:
             raise ValueError("coupling must be nonnegative")
         require_finite(self, "omega1", "kappa1", "omega2", "kappa2", "g")
+        if not math.isfinite(self.g * self.g):
+            raise ValueError(f"coupling g = {self.g!r} rad/s overflows the "
+                             "transmission, which squares it")
 
     @property
     def delta(self) -> float:
@@ -130,7 +133,7 @@ def s21(omega: np.ndarray, p: TwoModeParams, kappa_ext: float) -> np.ndarray:
     load = 1j * (p.omega2 - w) + 0.5 * p.kappa2
     denom = 1j * (p.omega1 - w) + 0.5 * p.kappa1
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom = denom + np.where(np.abs(load) > 0, p.g ** 2 / load, np.inf)
+        denom = denom + np.where(np.abs(load) > 0, p.g * p.g / load, np.inf)
     return 1.0 - (0.5 * kappa_ext) / denom
 
 

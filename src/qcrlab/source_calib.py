@@ -39,6 +39,11 @@ class PhotonSourceParams(Frozen):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         require_finite(self, *names)
+        if not math.isfinite(_emission_prefactor(self)):
+            raise ValueError("the emitted-power prefactor 2 c_coupling^2 "
+                             "hbar omega0^3 z0 / (l_res c_per_len) overflows "
+                             f"a double at c_coupling = {self.c_coupling!r} "
+                             f"F, omega0 = {self.omega0!r} rad/s")
 
 
 class CalibrationParams(Frozen):
@@ -82,11 +87,15 @@ class CalibrationRecord(Frozen):
         return asdict(self)
 
 
+def _emission_prefactor(p: PhotonSourceParams) -> float:
+    # products, which overflow to inf where a float power would raise
+    return 2.0 * (p.c_coupling * p.c_coupling) * HBAR \
+        * (p.omega0 * p.omega0 * p.omega0) * p.z0 / (p.l_res * p.c_per_len)
+
+
 def output_power(p: PhotonSourceParams, n_res: float, n_tl: float) -> float:
     """Net power emitted into the line for given mode/line occupations."""
-    pref = 2.0 * p.c_coupling ** 2 * HBAR * p.omega0 ** 3 * p.z0 \
-        / (p.l_res * p.c_per_len)
-    return pref * (n_res - n_tl)
+    return _emission_prefactor(p) * (n_res - n_tl)
 
 
 def bose_occupation(t: float, omega: float) -> float:
@@ -125,9 +134,24 @@ def p_tr_model(v: float, cp: CalibrationParams) -> float:
     return pref * body
 
 
+def _unfittable(x: np.ndarray) -> np.ndarray:
+    """Where the output-power fit cannot hold ``x``: not finite, or
+    ``len(x) * x**2`` overflows, which bounds the sums of squares of its
+    column norms and its residual."""
+    with np.errstate(over="ignore"):
+        return ~np.isfinite(len(x) * x * x)
+
+
+def _unfittable_bias(v: np.ndarray) -> np.ndarray:
+    """Where the fit cannot hold the positive bias ``v`` or its inverse."""
+    with np.errstate(over="ignore"):
+        return _unfittable(v) | _unfittable(1.0 / v)
+
+
 def fit_output_power(samples: Sequence[tuple[float, float]]
                      ) -> tuple[float, float, float, float]:
-    """Least-squares (a, b, c, rms) for P_out = a*V + b + c/V."""
+    """Least-squares (a, b, c, rms) for P_out = a*V + b + c/V; a sample
+    whose V, 1/V or P the fit cannot square is a ``FitError`` naming it."""
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("samples must be (V, P) pairs")
@@ -138,6 +162,12 @@ def fit_output_power(samples: Sequence[tuple[float, float]]
         raise FitError("need at least three distinct bias points")
     if np.any(v <= 0):
         raise ValueError("bias points must be positive")
+    bad = np.flatnonzero(_unfittable_bias(v) | _unfittable(p))
+    if bad.size:
+        i = bad[0]
+        raise FitError(f"output-power fit overflows at sample {i + 1}: bias "
+                       f"{float(v[i])!r} V, power {float(p[i])!r} W; it "
+                       "squares V, 1/V and P")
     design = np.column_stack([v, np.ones_like(v), 1.0 / v])
     scale = np.linalg.norm(design, axis=0)
     coef, _, rank, _ = np.linalg.lstsq(design / scale, p, rcond=None)
@@ -307,7 +337,12 @@ def source_sweep_point(v, src: PhotonSourceParams,
                                         f"at bias {float(bad[0])!r} V")
     n_t = junction_occupation(rates)
     n_res = two_bath_occupation(gamma_tr, n_tr, gamma_t, n_t)
-    power = output_power(src, n_res, n_tr)
+    with np.errstate(over="ignore"):
+        power = output_power(src, n_res, n_tr)
+    bad = np.ravel(v)[~np.isfinite(np.ravel(power))]
+    if bad.size:
+        raise ValueError("the emitted power overflows a double at bias "
+                         f"{float(bad[0])!r} V")
     # math.log1p one element at a time: numpy's can differ in the last bit
     t_res = [temp_from_occupation(n, src.omega0) if n > 0 else 0.0
              for n in np.ravel(n_res).tolist()]
@@ -352,12 +387,21 @@ def _finite_columns(path: str, *names: str) -> list[np.ndarray]:
 
 def load_power_samples(path: str) -> list[tuple[float, float]]:
     """Read (bias_V, power_W) pairs from a measurement-style CSV; every
-    bias must be positive, the domain of the output-power fit."""
+    bias must be positive, the domain of the output-power fit, and no
+    row may overflow that fit."""
     v, p = _finite_columns(path, "bias_V", "power_W")
     bad = np.flatnonzero(v <= 0)
     if bad.size:
         raise ConfigError(f"{path}: column 'bias_V' holds {float(v[bad[0]])!r}"
                           f" in data row {bad[0] + 1}, not a positive bias")
+    bias_bad = _unfittable_bias(v)
+    bad = np.flatnonzero(bias_bad | _unfittable(p))
+    if bad.size:
+        i = bad[0]
+        name, col = ("bias_V", v) if bias_bad[i] else ("power_W", p)
+        raise ConfigError(f"{path}: column {name!r} holds {float(col[i])!r} "
+                          f"in data row {i + 1}, which overflows the "
+                          "output-power fit")
     return list(zip(v.tolist(), p.tolist()))
 
 

@@ -35,6 +35,10 @@ class ThermalNetwork(Frozen):
             raise ValueError("loads and material constants must be "
                              "nonnegative")
         require_finite(self, "t0", "p_const", "ep_sigma", "volume")
+        if not math.isfinite(_fifth(self.t0)):
+            raise ValueError(f"t0 = {self.t0!r} K overflows the "
+                             "electron-phonon balance, which takes its "
+                             "fifth power")
 
 
 def g_quantum(t: float) -> float:
@@ -58,9 +62,19 @@ def differential_response(t0: float, a: float) -> float:
     return 1.0 / (1.0 + a * t0 ** 3)
 
 
+def _fifth(t: float) -> float:
+    """``t ** 5``, or inf where a Python float power raises OverflowError.
+    Not a product: ``t * t * t * t * t`` rounds unlike libm's ``pow`` for
+    about 4 arguments in 10, and moves the last digit of ``steady_state``."""
+    try:
+        return float(t) ** 5
+    except OverflowError:
+        return math.inf
+
+
 def _balance(t_a: float, net: ThermalNetwork, t_b: float) -> float:
-    p_photon = _PHOTON_COEFF * (t_b ** 2 - t_a ** 2)
-    p_ep = net.ep_sigma * net.volume * (net.t0 ** 5 - t_a ** 5)
+    p_photon = _PHOTON_COEFF * (t_b * t_b - t_a * t_a)
+    p_ep = net.ep_sigma * net.volume * (_fifth(net.t0) - _fifth(t_a))
     return p_photon + p_ep + net.p_const
 
 
@@ -76,10 +90,13 @@ def steady_state(net: ThermalNetwork, t_b: float) -> float:
     Raises ``ConvergenceError`` when ``balance(0)`` is below the smallest
     normal float, as for a photon-only island at ``t_b`` below about
     2e-148 K: the heat flows underflow there, and no root could be
-    resolved to full relative accuracy.
+    resolved to full relative accuracy.  Raises ``ValueError`` naming
+    ``t_b`` when the balance overflows a double at an iterate, as its
+    ``t_a^5`` does at the start for ``t_b = 1e100`` K.
     """
     if t_b <= 0:
         raise ValueError("island-B temperature must be positive")
+    t_b = float(t_b)    # a numpy scalar would warn where a product overflows
     ep = net.ep_sigma * net.volume
     load = _balance(0.0, net, t_b)
     if not load >= sys.float_info.min:
@@ -89,9 +106,14 @@ def steady_state(net: ThermalNetwork, t_b: float) -> float:
     t_a = math.sqrt(load / _PHOTON_COEFF)
     for _ in range(200):
         f = _balance(t_a, net, t_b)
+        if not math.isfinite(f):
+            raise ValueError(f"heat balance overflows a double for "
+                             f"t_b={t_b!r} K, t0={net.t0!r} K: it is {f!r} "
+                             f"W at t_a = {t_a!r} K")
         if not f < 0:
             break
-        step = f / (2.0 * _PHOTON_COEFF * t_a + 5.0 * ep * t_a ** 4)
+        step = f / (2.0 * _PHOTON_COEFF * t_a
+                    + 5.0 * ep * (t_a * t_a * t_a * t_a))
         if not t_a + step < t_a:
             break
         t_a += step

@@ -972,6 +972,27 @@ OVERFLOWS = {
                     {"calibration": {"delta_uev": 1.7e308}},
                     2, "config error: calibration: the synthesised output "
                        "power at bias "),
+    "bias_max": ("calibrate.json", {"synthesize": {"bias_max": 1e160}},
+                 2, "config error: synthesize: the synthesised bias "),
+    # Python float powers raise OverflowError, which names nothing
+    "t0": ("thermal.json", {"thermal": {"t0_k": 1e70}},
+           2, "config error: thermal: t0 = 1e+70 K overflows"),
+    "t0-1e61": ("thermal.json", {"thermal": {"t0_k": 1e61}},
+                3, "numeric error: heat balance overflows a double for "
+                   "t_b=0.05 K, t0=1e+61 K"),
+    "t_b": ("thermal.json", {"grid": {"start": 1e100, "stop": 2e100}},
+            3, "numeric error: heat balance overflows a double for "
+               "t_b=1e+100 K"),
+    "c_coupling": ("source.json", {"source": {"c_coupling_ff": 1e200}},
+                   2, "config error: source: the emitted-power prefactor "),
+    "freq": ("source.json", {"mode": {"freq_ghz": 1e100}},
+             2, "config error: source: the emitted-power prefactor "),
+    "power": ("source.json", {"source": {"c_coupling_ff": 2e163}},
+              3, "numeric error: the emitted power overflows a double at "
+                 "bias "),
+    "g": ("ep_map.json", {"two_mode": {"g_mhz": 1e160}},
+          2, "config error: two_mode: coupling g = 6.283185307179586e+166 "
+             "rad/s overflows"),
 }
 
 
@@ -1133,6 +1154,26 @@ class TestOneFailureLine:
         assert str(exc.value) == message
         self.fails(capsys, ["--config", dump_cfg(tmp_path, cfg),
                             "--out", out], out, f"config error: {message}")
+
+    def test_overflowing_measured_bias_exits_2_in_a_fresh_process(
+            self, tmp_path):
+        # 9 biases from 1e160 to 4e160 V square past a double: refused by
+        # the table's loader, not reported as a degenerate basis
+        path = str(tmp_path / "power.csv")
+        write_table(path, ["bias_V (V)", "power_W (W)"],
+                    np.column_stack([np.linspace(1e160, 4e160, 9),
+                                     np.linspace(1e-9, 5e-9, 9)]))
+        cfg = small_config("calibrate.json")
+        del cfg["synthesize"]
+        cfg.update(power_csv=path, p_out_zero_w=1e-12)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        res = run_fresh(run_dir, cfg)
+        assert res.returncode == 2
+        assert res.stderr == (f"config error: {path}: column 'bias_V' holds "
+                              "1e+160 in data row 1, which overflows the "
+                              "output-power fit\n")
+        assert list(run_dir.iterdir()) == [run_dir / "cfg.json"]
 
     @pytest.mark.parametrize("measured", [False, True])
     @pytest.mark.parametrize("text", [None, "# freq_Hz (Hz), re_gamma, "

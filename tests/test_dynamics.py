@@ -261,6 +261,32 @@ class TestEvolve:
         assert traj.mean_n[-1] < init.mean_n
         np.testing.assert_allclose(traj.probs.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("rise_fall", [0.0, 8e-9])
+    def test_empty_t_eval_samples_nothing(self, rise_fall):
+        init = LadderState.coherent(1.0, n_cut=20)
+        sched = PulseSchedule(v_on=1.0, width=20e-9, rise_fall=rise_fall,
+                              t_start=4e-9)
+        traj = evolve(init, sched, bridging_env, t_end=50e-9, t_eval=[])
+        for got in (traj.times, traj.eta, traj.n, traj.mean_n,
+                    traj.ground_pop):
+            assert got.shape == (0,)
+        assert traj.probs.shape == (0, 21)
+
+    @pytest.mark.parametrize("rise_fall", [0.0, 8e-9])
+    @pytest.mark.parametrize("t_start", [0.0, 4e-9])
+    def test_sample_at_zero_keeps_the_initial_state(self, rise_fall,
+                                                    t_start):
+        # t = 0 is a segment edge, and also the pulse start at t_start = 0
+        init = LadderState.coherent(1.0, n_cut=20)
+        sched = PulseSchedule(v_on=1.0, width=20e-9, rise_fall=rise_fall,
+                              t_start=t_start)
+        traj = evolve(init, sched, bridging_env, t_end=50e-9,
+                      t_eval=[0.0])
+        assert (traj.eta.tolist(), traj.n.tolist()) == ([1.0], [0.0])
+        assert traj.mean_n.tolist() == [init.mean_n]
+        np.testing.assert_allclose(traj.probs, [init.probs], rtol=0,
+                                   atol=1e-15)
+
     def test_t_eval_validation(self):
         init = LadderState.ground(5)
         sched = PulseSchedule(v_on=0.0, width=1e-9)

@@ -207,6 +207,13 @@ class TestTransmission:
             transmission_map(fm, p, np.linspace(W1 - G, W1 + G, 5),
                              kappa_ext=0.3 * G)
 
+    def test_coupling_whose_square_overflows_is_refused(self):
+        # s21 divides g*g by the load; 1e154 rad/s squares to a double
+        assert params(g=1e154).g == 1e154
+        with pytest.raises(ValueError, match=re.escape(
+                "coupling g = 1e+160 rad/s overflows the transmission")):
+            params(g=1e160)
+
     def test_flux_map_validation(self):
         with pytest.raises(ValueError):
             FluxMap(phi_grid=(), omega2_max=W1)

@@ -1,6 +1,7 @@
 """Photon-source power model and amplification-chain calibration tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,15 @@ class TestOutputPower:
         p1 = output_power(make_source(), 1.0, 0.0)
         p2 = output_power(make_source(c_coupling=20e-15), 1.0, 0.0)
         assert p2 == pytest.approx(4.0 * p1, rel=1e-12)
+
+    @pytest.mark.parametrize("kw", [{"c_coupling": 1e185},
+                                    {"omega0": 2.0 * math.pi * 1e109}],
+                             ids=["c_coupling", "omega0"])
+    def test_rejects_a_geometry_whose_prefactor_overflows(self, kw):
+        with pytest.raises(ValueError, match=(
+                "emitted-power prefactor .* overflows a double at "
+                "c_coupling = ")):
+            make_source(**kw)
 
     def test_rejects_nonpositive_geometry(self):
         with pytest.raises(ValueError):
@@ -178,6 +188,19 @@ class TestOutputPowerFit:
             fit_output_power([(-1e-3, 1.0), (2e-3, 2.0), (3e-3, 3.0)])
         with pytest.raises(ValueError):
             fit_output_power([(1e-3, 1.0, 5.0)])
+
+    @pytest.mark.parametrize("row, sample", [
+        (4, (1e160, 1e-9)),     # V squared overflows
+        (0, (1e-160, 1e-9)),    # 1/V squared
+        (7, (1e-2, -1e160))],   # P squared
+        ids=["bias", "reciprocal", "power"])
+    def test_sample_the_fit_cannot_square_is_named(self, row, sample):
+        samples = [tuple(x) for x in self.synth(1.6e-5, -3e-9, 2e-12, n=8)]
+        samples[row] = sample
+        with pytest.raises(FitError, match=re.escape(
+                f"output-power fit overflows at sample {row + 1}: bias "
+                f"{sample[0]!r} V, power {sample[1]!r} W")):
+            fit_output_power(samples)
 
     @pytest.mark.parametrize("bad", [(math.nan, 1), (math.inf, 0),
                                      (-math.inf, 1)])
@@ -406,6 +429,18 @@ class TestSourceSweep:
         assert pt.n_res < 0.9340
         assert pt.power < 0.0
 
+    def test_overflowing_emitted_power_names_its_bias(self, junction_cold,
+                                                      device):
+        # a finite prefactor of about 7e307 W times an imbalance above 3
+        mode = ModeParams(omega=W0, impedance=35.0, alpha=0.3)
+        src = make_source(c_coupling=2e148)
+        v = np.array([0.5, 5.0]) * 2.0 * junction_cold.delta / sc.e
+        with pytest.raises(ValueError, match=re.escape(
+                f"the emitted power overflows a double at bias "
+                f"{float(v[1])!r} V")):
+            source_sweep_point(v, src, mode, junction_cold, device,
+                               gamma_tr=1.5e7, n_tr=0.9340, epsrel=1e-9)
+
 
 class TestPipeline:
     def test_noiseless_recovery(self):
@@ -440,12 +475,21 @@ class TestPipeline:
         lambda v: 1e160 * (1.0 + (-1.0) ** np.arange(v.size))],
         ids=["gain", "residual"])
     def test_overflowing_fit_is_a_fit_error(self, power):
-        # a slope of 1e300 W/V overflows the gain, and residuals of 1e160 W
-        # their mean square: no warning, and no record of an infinity
+        # powers of about 1e297 W, and of 2e160 W, square past a double:
+        # the fit refuses the sample, with no warning and no record
         cp = make_cal()
         v = np.linspace(5, 20, 50) * 2.0 * cp.delta / sc.e
         with pytest.raises(FitError, match="output-power fit overflows"):
             calibration_pipeline(list(zip(v, power(v))), 1e-12, cp, 1e6)
+
+    def test_fit_that_overflows_the_gain_is_a_fit_error(self):
+        # every sample squares to a double, but the slope of 1e300 W/V
+        # gives a gain of inf
+        cp = make_cal()
+        v = np.linspace(1e-150, 4e-150, 9)
+        with pytest.raises(FitError, match=re.escape(
+                "the output-power fit overflows: gain inf")):
+            calibration_pipeline(list(zip(v, 1e300 * v)), 1e-12, cp, 1e6)
 
     def test_record_rejects_negative_residual(self):
         from qcrlab.source_calib import CalibrationRecord
@@ -489,6 +533,21 @@ class TestCsvLoaders:
         assert str(exc.value) == (f"{path}: column {column!r} holds "
                                   f"{value!r} in data row 5, not a finite "
                                   f"number")
+
+    @pytest.mark.parametrize("column, row, value", [
+        ("bias_V", 3, 1e160), ("bias_V", 6, 1e-160), ("power_W", 9, 1e160)])
+    def test_power_sample_the_fit_cannot_hold_names_file_column_row(
+            self, tmp_path, column, row, value):
+        path = str(tmp_path / "power.csv")
+        data = np.column_stack([np.linspace(1e-3, 5e-3, 9),
+                                np.linspace(1e-9, 5e-9, 9)])
+        data[row - 1, ["bias_V", "power_W"].index(column)] = value
+        write_table(path, ["bias_V (V)", "power_W (W)"], data)
+        with pytest.raises(ConfigError) as exc:
+            load_power_samples(path)
+        assert str(exc.value) == (f"{path}: column {column!r} holds "
+                                  f"{value!r} in data row {row}, which "
+                                  "overflows the output-power fit")
 
     @pytest.mark.parametrize("column,value", [("re_gamma", math.nan),
                                               ("im_gamma", -math.inf),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -210,3 +211,23 @@ class TestNewtonAgainstBrentq:
                             lambda t_a, net, t_b: 1.0 if t_a == 0 else -1e-12)
         with pytest.raises(ConvergenceError, match="did not converge"):
             steady_state(ThermalNetwork(t0=0.1), 0.1)
+
+
+class TestOverflow:
+    def test_network_refuses_a_bath_whose_fifth_power_overflows(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "t0 = 1e+70 K overflows the electron-phonon balance")):
+            make_net(t0=1e70)
+        assert make_net(t0=1e61).t0 == 1e61    # 1e305 K^5 is a double
+
+    @pytest.mark.parametrize("t0, t_b", [
+        (0.1, 1e100),   # t_a^5 overflows at the Newton start, t_a = t_b
+        (0.1, 1e200),   # t_b^2 overflows
+        (1e61, 0.05)],  # the start sqrt(balance(0) / coeff) is inf
+        ids=["start", "t_b-squared", "hot-bath"])
+    def test_overflowing_balance_raises_naming_t_b(self, t0, t_b):
+        # a numpy scalar, as the CLI's grid gives, warns of nothing either
+        with pytest.raises(ValueError, match=re.escape(
+                f"heat balance overflows a double for t_b={t_b!r} K, "
+                f"t0={t0!r} K")):
+            steady_state(make_net(t0=t0), np.float64(t_b))
